@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz bench bench-smoke bench-gate vet-sharing stream-smoke bench-stream stream-gate reuse-check bench-analytic analytic-gate bench-stat stat-gate stat-check vet-legality legality-check bench-legality bench-optimize optimize-gate optimize-check
+.PHONY: all build test race lint fmt fuzz bench bench-smoke bench-gate vet-sharing stream-smoke bench-stream stream-gate reuse-check bench-stat stat-gate stat-check vet-legality legality-check bench-legality bench-optimize optimize-gate optimize-check
 
 all: build lint test
 
@@ -31,30 +31,11 @@ fuzz:
 # reuse-check: the static reuse-prediction acceptance suite — the
 # 7-workload static-vs-dynamic differential (per-nest histograms,
 # FromTrace replay, capacity-miss ratios, whole-run bracket) under the
-# race detector, the analytic reference-twin advice check, and a short
-# run of the reuse-predictor fuzzer (no-panic + mass conservation).
+# race detector, and a short run of the reuse-predictor fuzzer (no-panic
+# + mass conservation).
 reuse-check:
-	$(GO) test -race -run 'TestReuseDifferentialWorkloads|TestAnalyticTwinAdvice' .
+	$(GO) test -race -run 'TestReuseDifferentialWorkloads' .
 	$(GO) test ./internal/staticlint/ -run '^$$' -fuzz FuzzReusePredictor -fuzztime 30s
-
-# bench-analytic: measure the analytic phase synthesis against full
-# simulation on the exact-tier workloads and record BENCH_6.json.
-ANALYTIC_METRICS ?= analytic-metrics.txt
-ANALYTIC_JSON ?= BENCH_6.json
-bench-analytic:
-	$(GO) test -run '^$$' -benchtime 3x -bench 'BenchmarkAnalyticSweep' \
-		. | tee $(ANALYTIC_METRICS)
-	$(GO) run ./cmd/benchjson -in $(ANALYTIC_METRICS) -out $(ANALYTIC_JSON)
-
-# analytic-gate: the analytic sweep must stay at least 2x faster than
-# full simulation. The baseline records the measured speedup; the gate
-# tolerates a drift back toward (but not past) the 2x floor.
-analytic-gate:
-	$(GO) test -run '^$$' -benchtime 3x -bench 'BenchmarkAnalyticSweep' . \
-		| tee /tmp/analytic-gate.txt
-	$(GO) run ./cmd/benchjson -gate -in /tmp/analytic-gate.txt -baseline $(ANALYTIC_JSON) \
-		-bench BenchmarkAnalyticSweep -metric speedup \
-		-higher-is-better -max-regress 20
 
 # stream-smoke: the streaming-service acceptance smoke — start the
 # ingest server, push the quickstart workload's sample stream over HTTP,
@@ -141,8 +122,8 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-smoke: one iteration of the perf-critical benchmarks — the
-# hot-path microbenchmarks, the parallel-engine speedup/identity check,
-# and the streaming-ingest throughput (direct vs HTTP-framed) — plus the
+# hot-path microbenchmarks, the experiment engine's worker-pool
+# speedup/identity check, and the streaming-ingest throughput (direct vs HTTP-framed) — plus the
 # ART end-to-end reference-vs-fastpath benchmark, with metrics captured
 # as text and as JSON (BENCH_5.json) for CI upload.
 BENCH_METRICS ?= bench-metrics.txt
@@ -171,8 +152,8 @@ bench-gate: stat-gate optimize-gate
 		-higher-is-better -max-regress 15
 
 # bench-stat: measure the statistical-window engine across the full
-# 7-workload sweep (reference vs fastpath vs statistical) plus the
-# parallel-engine scaling benchmark, and record BENCH_7.json. benchjson
+# 7-workload sweep (reference vs fastpath vs statistical) and record
+# BENCH_7.json. benchjson
 # merges the -count 2 repeats best-of-N (spread recorded per metric) and
 # synthesizes BenchmarkWorkloadSweep/statistical/geomean — the suite-wide
 # statistical speedup over the reference engine that stat-gate holds.
@@ -181,7 +162,7 @@ STAT_JSON ?= BENCH_7.json
 GEOMEAN_SPEC = BenchmarkWorkloadSweep/*/statistical:x-vs-reference
 bench-stat:
 	$(GO) test -run '^$$' -benchtime 2x -count 2 \
-		-bench 'BenchmarkWorkloadSweep|BenchmarkParallelScaling' \
+		-bench 'BenchmarkWorkloadSweep' \
 		. | tee $(STAT_METRICS)
 	$(GO) run ./cmd/benchjson -in $(STAT_METRICS) \
 		-geomean '$(GEOMEAN_SPEC)' -out $(STAT_JSON)
@@ -198,13 +179,11 @@ stat-gate:
 		-bench BenchmarkWorkloadSweep/statistical/geomean -metric x-vs-reference \
 		-higher-is-better -max-regress 15
 
-# stat-check: the statistical + parallel acceptance suite — advice
-# fidelity against exact mode on all 7 paper workloads, and worker-count
-# / GOMAXPROCS byte-identity of the parallel engine, under the race
-# detector (the parallel engine must be data-race-free, not just
-# deterministic).
+# stat-check: the statistical acceptance suite — advice fidelity against
+# exact mode on all 7 paper workloads, sampled-address identity, and the
+# exact fallbacks, under the race detector.
 stat-check:
-	$(GO) test -race -run 'TestStatistical|TestParallel' .
+	$(GO) test -race -run 'TestStatistical' .
 
 # bench-optimize: time the candidate-enumeration + measured A/B
 # selection loop over all seven paper workloads and record BENCH_10.json

@@ -869,50 +869,10 @@ func BenchmarkWorkloadSweep(b *testing.B) {
 		})
 		b.Run(name+"/statistical", func(b *testing.B) {
 			opt := structslim.Options{SamplePeriod: 3000, Seed: 7}
-			opt.Analysis.Statistical = true
+			opt.VM.StatWindow = vm.DefaultStatWindow
 			statDur := run(b, opt)
 			if refDur > 0 && statDur > 0 {
 				b.ReportMetric(refDur.Seconds()/statDur.Seconds(), "x-vs-reference")
-			}
-		})
-	}
-}
-
-// BenchmarkParallelScaling times the parallel per-core engine on the
-// multithreaded workloads at 1 worker and at the host width, reporting
-// "x-vs-serial" on the wide sub-benchmark. The profiles are byte-
-// identical at any worker count (parallel_differential_test.go), so the
-// metric is pure engine scaling; on a single-core host it hovers near 1.
-func BenchmarkParallelScaling(b *testing.B) {
-	for _, name := range []string{"clomp", "falseshare"} {
-		w, err := workloads.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, phases, err := w.Build(nil, benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		run := func(b *testing.B, workers int) time.Duration {
-			opt := structslim.Options{SamplePeriod: 3000, Seed: 7}
-			opt.VM = vm.Config{Parallel: true, Workers: workers}
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := structslim.ProfileRun(p, phases, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return time.Since(start) / time.Duration(b.N)
-		}
-		var serialDur time.Duration
-		b.Run(name+"/workers1", func(b *testing.B) {
-			serialDur = run(b, 1)
-		})
-		b.Run(name+"/workersN", func(b *testing.B) {
-			wideDur := run(b, 0) // 0 = one goroutine per simulated core
-			if serialDur > 0 && wideDur > 0 {
-				b.ReportMetric(serialDur.Seconds()/wideDur.Seconds(), "x-vs-serial")
 			}
 		})
 	}

@@ -34,12 +34,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/tables"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 	"repro/structslim"
 )
@@ -61,59 +63,81 @@ func main() {
 			return
 		}
 	}
+	fail(runProfile(os.Args[1:], os.Stdout))
+}
+
+// statWindow resolves the profile command's two statistical flags into
+// the engine's one switch, vm.Config.StatWindow: -stat-window N > 0
+// selects statistical mode at W=N, -statistical alone selects it at the
+// default window, and neither profiles exactly.
+func statWindow(statistical bool, window int) int {
+	switch {
+	case window > 0:
+		return window
+	case statistical:
+		return vm.DefaultStatWindow
+	}
+	return 0
+}
+
+// runProfile is the default command: profile one workload and print the
+// analysis.
+func runProfile(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("structslim", flag.ContinueOnError)
 	var (
-		name     = flag.String("workload", "", "workload to profile (see -list)")
-		list     = flag.Bool("list", false, "list available workloads")
-		scale    = flag.String("scale", "test", "problem scale: test or bench")
-		period   = flag.Uint64("period", 10_000, "address-sampling period in memory accesses")
-		ibs      = flag.Bool("ibs", false, "sample with AMD-IBS semantics (period counts instructions)")
-		seed     = flag.Uint64("seed", 1, "sampling randomization seed")
-		topK     = flag.Int("topk", 3, "data structures to analyze in depth")
-		thresh   = flag.Float64("affinity", 0.5, "affinity clustering threshold")
-		dotPath  = flag.String("dot", "", "write the hot structure's affinity graph (Figure 6 style) to this file")
-		jsonPath = flag.String("json", "", "write the analysis as JSON to this file (- for stdout)")
-		optimize = flag.Bool("optimize", false, "apply the advice and measure the split program")
-		doRegr   = flag.Bool("regroup", false, "also run the array-regrouping analysis (future-work extension)")
-		profDir  = flag.String("profiles", "", "also write per-thread profiles (gob) into this directory")
-		analyze  = flag.String("analyze", "", "skip profiling: load per-thread profiles from this directory and analyze them offline")
-		dump     = flag.Bool("dump", false, "print the workload's disassembly and recovered loop structure, then exit")
-		cfgDot   = flag.String("cfg-dot", "", "write the named function's CFG as dot to this file (with -dump)")
-		cfgFn    = flag.String("cfg-fn", "main", "function for -cfg-dot")
-		stat     = flag.Bool("statistical", false, "statistical mode: fully simulate only sampled windows, fast-forward between them (prints an error report)")
-		statWin  = flag.Int("stat-window", 0, "per-sample warmup window W in accesses for -statistical (0 = default)")
-		par      = flag.Bool("parallel", false, "run eligible multithreaded phases on per-core interpreter goroutines (results identical to serial)")
-		workers  = flag.Int("workers", 0, "goroutine bound for -parallel (0 = one per simulated core)")
+		name     = fs.String("workload", "", "workload to profile (see -list)")
+		list     = fs.Bool("list", false, "list available workloads")
+		scale    = fs.String("scale", "test", "problem scale: test or bench")
+		period   = fs.Uint64("period", 10_000, "address-sampling period in memory accesses")
+		ibs      = fs.Bool("ibs", false, "sample with AMD-IBS semantics (period counts instructions)")
+		seed     = fs.Uint64("seed", 1, "sampling randomization seed")
+		topK     = fs.Int("topk", 3, "data structures to analyze in depth")
+		thresh   = fs.Float64("affinity", 0.5, "affinity clustering threshold")
+		dotPath  = fs.String("dot", "", "write the hot structure's affinity graph (Figure 6 style) to this file")
+		jsonPath = fs.String("json", "", "write the analysis as JSON to this file (- for stdout)")
+		optimize = fs.Bool("optimize", false, "apply the advice and measure the split program")
+		doRegr   = fs.Bool("regroup", false, "also run the array-regrouping analysis (future-work extension)")
+		profDir  = fs.String("profiles", "", "also write per-thread profiles (gob) into this directory")
+		analyze  = fs.String("analyze", "", "skip profiling: load per-thread profiles from this directory and analyze them offline")
+		dump     = fs.Bool("dump", false, "print the workload's disassembly and recovered loop structure, then exit")
+		cfgDot   = fs.String("cfg-dot", "", "write the named function's CFG as dot to this file (with -dump)")
+		cfgFn    = fs.String("cfg-fn", "main", "function for -cfg-dot")
+		stat     = fs.Bool("statistical", false, "statistical mode: fully simulate only sampled windows, fast-forward between them (prints an error report)")
+		statWin  = fs.Int("stat-window", 0, "per-sample warmup window W in accesses; > 0 selects statistical mode (default W with -statistical alone)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		inPaper := make(map[string]bool)
-		fmt.Println("Paper benchmarks (Table 2):")
+		fmt.Fprintln(out, "Paper benchmarks (Table 2):")
 		for _, w := range workloads.Paper() {
 			inPaper[w.Name()] = true
-			fmt.Printf("  %-12s %-45s %s\n", w.Name(), w.Suite(), w.Description())
+			fmt.Fprintf(out, "  %-12s %-45s %s\n", w.Name(), w.Suite(), w.Description())
 		}
-		fmt.Println("Suite stand-ins (Figures 4/5):")
+		fmt.Fprintln(out, "Suite stand-ins (Figures 4/5):")
 		for _, w := range workloads.All() {
 			if w.Record() == nil {
-				fmt.Printf("  %-12s %-45s %s\n", w.Name(), w.Suite(), w.Description())
+				fmt.Fprintf(out, "  %-12s %-45s %s\n", w.Name(), w.Suite(), w.Description())
 			}
 		}
-		fmt.Println("Other (case studies, fixtures):")
+		fmt.Fprintln(out, "Other (case studies, fixtures):")
 		for _, w := range workloads.All() {
 			if w.Record() != nil && !inPaper[w.Name()] {
-				fmt.Printf("  %-12s %-45s %s\n", w.Name(), w.Suite(), w.Description())
+				fmt.Fprintf(out, "  %-12s %-45s %s\n", w.Name(), w.Suite(), w.Description())
 			}
 		}
-		return
+		return nil
 	}
 	if *name == "" {
-		fmt.Fprintln(os.Stderr, "need -workload (or -list)")
-		os.Exit(2)
+		return fmt.Errorf("need -workload (or -list)")
 	}
 
 	w, err := workloads.Get(*name)
-	fail(err)
+	if err != nil {
+		return err
+	}
 	sc := workloads.ScaleTest
 	if *scale == "bench" {
 		sc = workloads.ScaleBench
@@ -122,33 +146,38 @@ func main() {
 		SamplePeriod: *period,
 		IBS:          *ibs,
 		Seed:         *seed,
+		VM:           vm.Config{StatWindow: statWindow(*stat, *statWin)},
 		Analysis:     core.Options{TopK: *topK, AffinityThreshold: *thresh},
 	}
-	opt.Analysis.Statistical = *stat
-	opt.Analysis.StatWindow = *statWin
-	opt.VM.Parallel = *par
-	opt.VM.Workers = *workers
 
 	p, phases, err := w.Build(nil, sc)
-	fail(err)
+	if err != nil {
+		return err
+	}
 
 	if *dump {
-		fmt.Print(p.Disasm())
+		fmt.Fprint(out, p.Disasm())
 		loops, err := cfg.AnalyzeLoops(p)
-		fail(err)
-		cfg.WriteLoopReport(os.Stdout, p, loops)
+		if err != nil {
+			return err
+		}
+		cfg.WriteLoopReport(out, p, loops)
 		if *cfgDot != "" {
 			fn := p.FuncByName(*cfgFn)
 			if fn == nil {
-				fail(fmt.Errorf("no function %q", *cfgFn))
+				return fmt.Errorf("no function %q", *cfgFn)
 			}
 			f, err := os.Create(*cfgDot)
-			fail(err)
+			if err != nil {
+				return err
+			}
 			cfg.WriteDot(f, fn, loops.Forests[fn.ID])
-			fail(f.Close())
-			fmt.Printf("Wrote CFG of %s to %s\n", *cfgFn, *cfgDot)
+			if err := f.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "Wrote CFG of %s to %s\n", *cfgFn, *cfgDot)
 		}
-		return
+		return nil
 	}
 
 	var res *structslim.RunResult
@@ -158,79 +187,93 @@ func main() {
 		// file per thread); merge them with the reduction tree and
 		// analyze against the rebuilt binary.
 		tps, err := profile.ReadDir(*analyze)
-		fail(err)
+		if err != nil {
+			return err
+		}
 		merged, err := profile.ReduceThreadProfiles(tps, 0)
-		fail(err)
+		if err != nil {
+			return err
+		}
 		res = &structslim.RunResult{Profile: merged, ThreadProfiles: tps}
-		rep, err = core.Analyze(merged, p, opt.Analysis)
-		fail(err)
-		fmt.Printf("Analyzed %d thread profiles from %s (offline)\n\n", len(tps), *analyze)
-	} else {
-		res, rep, err = structslim.ProfileAndAnalyze(p, phases, opt)
-		fail(err)
+		if rep, err = core.Analyze(merged, p, opt.Analysis); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "Analyzed %d thread profiles from %s (offline)\n\n", len(tps), *analyze)
+	} else if res, rep, err = structslim.ProfileAndAnalyze(p, phases, opt); err != nil {
+		return err
 	}
 
-	rep.RenderText(os.Stdout)
-	fmt.Printf("Run: %d instructions, %d memory accesses, %d app cycles, overhead %.2f%%\n",
+	rep.RenderText(out)
+	fmt.Fprintf(out, "Run: %d instructions, %d memory accesses, %d app cycles, overhead %.2f%%\n",
 		res.Stats.Instrs, res.Stats.MemOps, res.Stats.AppWallCycles, res.Stats.OverheadPct())
 	if res.Stat != nil {
-		fmt.Println()
-		res.Stat.RenderText(os.Stdout)
-	}
-	if *par {
-		if res.Parallel.Engaged {
-			fmt.Printf("parallel engine: engaged, %d quantum rounds\n", res.Parallel.Rounds)
-		} else {
-			fmt.Printf("parallel engine: not engaged (fallbacks: %v)\n", res.Parallel.Fallbacks)
-		}
+		fmt.Fprintln(out)
+		res.Stat.RenderText(out)
 	}
 
 	if *profDir != "" {
-		fail(profile.WriteDir(*profDir, res.ThreadProfiles))
-		fmt.Printf("Wrote %d thread profiles to %s\n", len(res.ThreadProfiles), *profDir)
+		if err := profile.WriteDir(*profDir, res.ThreadProfiles); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "Wrote %d thread profiles to %s\n", len(res.ThreadProfiles), *profDir)
 	}
 
 	if *jsonPath != "" {
-		out := os.Stdout
+		jout := out
 		if *jsonPath != "-" {
 			f, err := os.Create(*jsonPath)
-			fail(err)
+			if err != nil {
+				return err
+			}
 			defer f.Close()
-			out = f
+			jout = f
 		}
-		fail(rep.WriteJSON(out))
+		if err := rep.WriteJSON(jout); err != nil {
+			return err
+		}
 	}
 
 	if *dotPath != "" && len(rep.Structures) > 0 {
 		f, err := os.Create(*dotPath)
-		fail(err)
+		if err != nil {
+			return err
+		}
 		rep.Structures[0].WriteDot(f)
-		fail(f.Close())
-		fmt.Printf("Wrote affinity graph to %s\n", *dotPath)
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "Wrote affinity graph to %s\n", *dotPath)
 	}
 
 	if *doRegr {
 		la, err := structslim.AttachLegality(rep, p)
-		fail(err)
+		if err != nil {
+			return err
+		}
 		rr, err := structslim.AnalyzeRegrouping(res, p, opt, la)
-		fail(err)
-		fmt.Println()
-		rr.RenderText(os.Stdout)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
+		rr.RenderText(out)
 	}
 
 	if *optimize {
 		if w.Record() == nil {
-			fail(fmt.Errorf("workload %s has no record to optimize", w.Name()))
+			return fmt.Errorf("workload %s has no record to optimize", w.Name())
 		}
 		r, err := tables.RunBenchmark(w, tables.Options{Scale: sc, SamplePeriod: *period, Seed: *seed})
-		fail(err)
-		fmt.Printf("\nOptimization (advice applied automatically):\n")
-		fmt.Printf("  layout: %v\n", r.SplitLayout)
-		fmt.Printf("  cycles: %d → %d  (speedup %.2fx)\n", r.OrigCycles, r.SplitCycles, r.Speedup)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "\nOptimization (advice applied automatically):\n")
+		fmt.Fprintf(out, "  layout: %v\n", r.SplitLayout)
+		fmt.Fprintf(out, "  cycles: %d → %d  (speedup %.2fx)\n", r.OrigCycles, r.SplitCycles, r.Speedup)
 		for _, lvl := range []string{"L1", "L2", "L3"} {
-			fmt.Printf("  %s miss reduction: %.1f%%\n", lvl, r.MissReduction(lvl))
+			fmt.Fprintf(out, "  %s miss reduction: %.1f%%\n", lvl, r.MissReduction(lvl))
 		}
 	}
+	return nil
 }
 
 func fail(err error) {

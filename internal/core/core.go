@@ -53,32 +53,7 @@ type Options struct {
 	// paper argues against. Exposed for the ablation study; the default
 	// (false) is the paper's latency weighting.
 	WeightByCount bool
-	// AnalyticPhases lets the profiler skip VM and cache simulation for
-	// phases whose every loop nest is exact tier with a confirmed static
-	// reuse prediction: the phase's profile contribution is synthesized
-	// analytically from the closed-form access schedule. Advice is
-	// unchanged; phases outside the exact tier fall back to simulation.
-	AnalyticPhases bool
-	// Statistical switches the profiling run to sampled-window
-	// statistical simulation: only StatWindow accesses of warmup before
-	// each PEBS sample (plus the sample itself) run the full cache
-	// model; the rest execute exactly but charge an estimated latency.
-	// The set of sampled accesses — and hence every stride, size, and
-	// offset the analyzer recovers — is unchanged; sample latencies and
-	// timestamps are approximate, which can perturb latency-share
-	// rankings slightly. Instruction-gated (IBS) sampling stays exact.
-	Statistical bool
-	// StatWindow is the per-sample warmup window in accesses (0 means
-	// DefaultStatWindow). Larger windows cost more simulation and
-	// recover more of the exact latency distribution.
-	StatWindow int
 }
-
-// DefaultStatWindow is the warmup window used when Options.Statistical is
-// set without an explicit window: enough accesses to repopulate the hot
-// working set's cache lines ahead of each sample without giving back the
-// speedup (see EXPERIMENTS.md for the measured window sweep).
-const DefaultStatWindow = 64
 
 // DefaultOptions mirrors the paper's settings.
 func DefaultOptions() Options {

@@ -112,57 +112,29 @@ func (s *Space) page(addr uint64) *[pageSize]byte {
 	return p
 }
 
-// readIntPage assembles a little-endian value that fits within one page.
-func readIntPage(p *[pageSize]byte, off uint64, size int) int64 {
-	// Bulk little-endian loads for the common sizes; identical to the
-	// byte loop, which remains for the odd ones.
-	switch size {
-	case 8:
-		return int64(binary.LittleEndian.Uint64(p[off : off+8]))
-	case 4:
-		return int64(uint64(binary.LittleEndian.Uint32(p[off : off+4])))
-	case 2:
-		return int64(uint64(binary.LittleEndian.Uint16(p[off : off+2])))
-	case 1:
-		return int64(uint64(p[off]))
-	}
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(p[off+uint64(i)])
-	}
-	return int64(v)
-}
-
-// writeIntPage stores a little-endian value that fits within one page.
-func writeIntPage(p *[pageSize]byte, off uint64, size int, v int64) {
-	u := uint64(v)
-	switch size {
-	case 8:
-		binary.LittleEndian.PutUint64(p[off:off+8], u)
-		return
-	case 4:
-		binary.LittleEndian.PutUint32(p[off:off+4], uint32(u))
-		return
-	case 2:
-		binary.LittleEndian.PutUint16(p[off:off+2], uint16(u))
-		return
-	case 1:
-		p[off] = byte(u)
-		return
-	}
-	for i := 0; i < size; i++ {
-		p[off+uint64(i)] = byte(u)
-		u >>= 8
-	}
-}
-
 // ReadInt reads size bytes little-endian at addr, zero-extended.
 // Reads beyond a page boundary are assembled byte-wise.
 func (s *Space) ReadInt(addr uint64, size int) int64 {
 	off := addr & pageMask
 	p := s.page(addr)
 	if off+uint64(size) <= pageSize {
-		return readIntPage(p, off, size)
+		// Bulk little-endian loads for the common sizes; identical to the
+		// byte loop, which remains for the odd ones.
+		switch size {
+		case 8:
+			return int64(binary.LittleEndian.Uint64(p[off : off+8]))
+		case 4:
+			return int64(uint64(binary.LittleEndian.Uint32(p[off : off+4])))
+		case 2:
+			return int64(uint64(binary.LittleEndian.Uint16(p[off : off+2])))
+		case 1:
+			return int64(uint64(p[off]))
+		}
+		var v uint64
+		for i := size - 1; i >= 0; i-- {
+			v = v<<8 | uint64(p[off+uint64(i)])
+		}
+		return int64(v)
 	}
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
@@ -175,11 +147,28 @@ func (s *Space) ReadInt(addr uint64, size int) int64 {
 func (s *Space) WriteInt(addr uint64, size int, v int64) {
 	off := addr & pageMask
 	p := s.page(addr)
+	u := uint64(v)
 	if off+uint64(size) <= pageSize {
-		writeIntPage(p, off, size, v)
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(p[off:off+8], u)
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(p[off:off+4], uint32(u))
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(p[off:off+2], uint16(u))
+			return
+		case 1:
+			p[off] = byte(u)
+			return
+		}
+		for i := 0; i < size; i++ {
+			p[off+uint64(i)] = byte(u)
+			u >>= 8
+		}
 		return
 	}
-	u := uint64(v)
 	for i := 0; i < size; i++ {
 		s.writeByte(addr+uint64(i), byte(u))
 		u >>= 8
@@ -256,9 +245,14 @@ func (s *Space) addObject(o *Object) {
 	s.sortedBase[i] = o
 }
 
-// findSorted is the binary search under FindObject, without the shared
-// last-hit cache; Finder wraps it with a thread-private cache.
-func (s *Space) findSorted(addr uint64) *Object {
+// FindObject resolves an effective address to the object containing it,
+// or nil. This is data-centric attribution's address→object map: a
+// binary search over sortedBase behind the lastObj memo, which never
+// changes the result.
+func (s *Space) FindObject(addr uint64) *Object {
+	if o := s.lastObj; o != nil && addr >= o.Base && addr < o.Base+o.Size {
+		return o
+	}
 	i := sort.Search(len(s.sortedBase), func(i int) bool { return s.sortedBase[i].Base > addr })
 	if i == 0 {
 		return nil
@@ -267,19 +261,7 @@ func (s *Space) findSorted(addr uint64) *Object {
 	if addr >= o.Base+o.Size {
 		return nil
 	}
-	return o
-}
-
-// FindObject resolves an effective address to the object containing it,
-// or nil. This is data-centric attribution's address→object map.
-func (s *Space) FindObject(addr uint64) *Object {
-	if o := s.lastObj; o != nil && addr >= o.Base && addr < o.Base+o.Size {
-		return o
-	}
-	o := s.findSorted(addr)
-	if o != nil {
-		s.lastObj = o
-	}
+	s.lastObj = o
 	return o
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/prog"
 	"repro/internal/runner"
 	"repro/internal/split"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 	"repro/structslim"
 )
@@ -36,9 +37,8 @@ type Options struct {
 	// StatWindow is the statistical warmup window W (0 = the default).
 	StatWindow int
 	// Analysis tunes the profiling run's analyzer (TopK, affinity
-	// threshold). Statistical flags here are ignored: the profiling run
-	// is always exact so the candidate set is measurement-mode
-	// independent.
+	// threshold). The profiling run is always exact so the candidate set
+	// is measurement-mode independent.
 	Analysis core.Options
 	// Enum tunes the candidate enumerator.
 	Enum EnumOptions
@@ -48,7 +48,7 @@ func (o Options) window() int {
 	if o.StatWindow > 0 {
 		return o.StatWindow
 	}
-	return core.DefaultStatWindow
+	return vm.DefaultStatWindow
 }
 
 func (o Options) mode() string {
@@ -144,13 +144,10 @@ func Run(w workloads.Workload, opt Options) (*Result, error) {
 		return nil, err
 	}
 	po := structslim.Options{SamplePeriod: opt.SamplePeriod, Seed: opt.Seed, Analysis: opt.Analysis}
-	po.Analysis.Statistical = false
-	po.Analysis.StatWindow = 0
-	res, rep, err := structslim.ProfileAndAnalyze(p, phases, po)
+	_, rep, err := structslim.ProfileAndAnalyze(p, phases, po)
 	if err != nil {
 		return nil, err
 	}
-	_ = res
 	if _, err := structslim.AttachLegality(rep, p); err != nil {
 		return nil, err
 	}
@@ -349,8 +346,7 @@ func measureLayout(w workloads.Workload, l *prog.PhysLayout, opt Options, exact 
 		}
 		return m, nil
 	}
-	ro.Analysis.Statistical = true
-	ro.Analysis.StatWindow = opt.window()
+	ro.VM.StatWindow = opt.window()
 	res, err := structslim.ProfileRun(p, phases, ro)
 	if err != nil {
 		return measurement{}, err

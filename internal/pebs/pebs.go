@@ -130,11 +130,6 @@ type threadState struct {
 	nextAt    uint64 // IBS: instruction count of the next tagged op
 	rng       uint64
 	prof      *profile.ThreadProfile
-	// find is the thread-private address→object resolver; attribution
-	// results match Space.FindObject exactly, but the last-hit memo is
-	// per thread, so concurrent interpreter goroutines (vm.Config.
-	// Parallel) never write shared sampler state.
-	find *mem.Finder
 }
 
 // NewSampler attaches to a machine's address space for numThreads
@@ -149,7 +144,6 @@ func NewSampler(cfg Config, space *mem.Space, numThreads int) *Sampler {
 		ts := &s.threads[i]
 		ts.rng = splitmix64(cfg.Seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
 		ts.prof = profile.NewThreadProfile(i, cfg.Period)
-		ts.find = space.NewFinder()
 		gap := s.nextGap(ts)
 		ts.countdown = gap
 		ts.nextAt = gap
@@ -210,7 +204,7 @@ func (s *Sampler) OnAccess(ev *vm.MemEvent) uint64 {
 	// Data-centric attribution: effective address → data object.
 	objID := int32(-1)
 	var identity uint64
-	if o := ts.find.Find(ev.EA); o != nil {
+	if o := s.space.FindObject(ev.EA); o != nil {
 		objID = int32(o.ID)
 		identity = o.Identity
 	}
@@ -275,13 +269,6 @@ func (s *Sampler) WindowPlan(tid int, window uint64) (fastForward uint64) {
 	}
 	return gap - window
 }
-
-// ParallelSafe implements vm.ParallelSafeObserver: OnAccess touches only
-// per-thread state (the thread's profile, RNG, countdown, and private
-// object finder), so concurrent delivery from per-core interpreter
-// goroutines is safe as long as the object table is not growing — which
-// the parallel engine guarantees by rejecting phases that allocate.
-func (s *Sampler) ParallelSafe() bool { return true }
 
 // Finish snapshots the object table into each thread profile and attaches
 // the run's cycle accounts; call it once after the machine run completes.

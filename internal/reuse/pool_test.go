@@ -142,51 +142,3 @@ func TestFromTraceMatchesIncremental(t *testing.T) {
 		t.Fatalf("FromTrace diverged from incremental observation")
 	}
 }
-
-// TestStackModelMatchesAnalyzer: the O(1) segmented-LRU band
-// classification must agree with the exact reuse distance at every
-// access, for random traces and random capacity ladders.
-func TestStackModelMatchesAnalyzer(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		// Random strictly ascending capacities.
-		nc := 1 + rng.Intn(3)
-		caps := make([]uint64, 0, nc)
-		c := uint64(1 + rng.Intn(6))
-		for i := 0; i < nc; i++ {
-			caps = append(caps, c)
-			c += uint64(1 + rng.Intn(20))
-		}
-		sm := NewStackModel(caps)
-		if trial%2 == 0 {
-			sm.Prime(0, 64)
-		}
-		an := NewAnalyzer(16)
-		for i := 0; i < 3000; i++ {
-			line := uint64(rng.Intn(50))
-			d := an.Observe(line)
-			want := len(caps)
-			if d != Infinite {
-				for bi, cp := range caps {
-					if d < cp {
-						want = bi
-						break
-					}
-				}
-			}
-			if got := sm.Touch(line); got != want {
-				t.Fatalf("trial %d caps %v access %d line %d dist %d: band %d, want %d",
-					trial, caps, i, line, d, got, want)
-			}
-		}
-	}
-}
-
-func BenchmarkStackModelTouch(b *testing.B) {
-	sm := NewStackModel([]uint64{512, 4096, 327680})
-	sm.Prime(0, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sm.Touch(uint64(i) % (1 << 14))
-	}
-}

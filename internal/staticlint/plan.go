@@ -16,9 +16,8 @@ import (
 // effective addresses. It only succeeds on "exact tier" code — structured
 // reducible loops whose bounds are compile-time constants and whose
 // streams all resolve to global bases — which is precisely the class of
-// loop nests the static reuse predictor (reuse.go in this package) and
-// the analytic phase synthesis (package structslim) can handle without
-// simulation.
+// loop nests the static reuse predictor (reuse.go in this package) can
+// handle without simulation.
 //
 // The planner re-runs the affine dataflow of analyze.go and then walks
 // the CFG structurally: outside loops every block must have exactly one
@@ -379,8 +378,8 @@ func headerOfKey(key uint64) int { return int(key & 0xFFFF_FFFF) }
 
 // GlobalBases computes the load addresses the VM's loader would assign to
 // every program global — the same bump allocation mem.Space performs —
-// so static predictions and analytic synthesis see the run's true
-// addresses without instantiating a machine.
+// so static predictions see the run's true addresses without
+// instantiating a machine.
 func GlobalBases(p *prog.Program) []uint64 {
 	sp := mem.NewSpace()
 	out := make([]uint64, len(p.Globals))

@@ -40,12 +40,13 @@ func (e *Engine) Stats() (started, deduped uint64) { return e.pool.Stats() }
 
 // key canonically names one simulation: what runs (kind, workload) and
 // everything that can change its result (scale, effective sampling
-// period, seed). Reference is part of the key even though it cannot
-// change the result — differential tests rely on a reference run never
-// being answered from a fast-path run's cache entry, or vice versa.
+// period, seed, statistical window). Reference is part of the key even
+// though it cannot change the result — differential tests rely on a
+// reference run never being answered from a fast-path run's cache
+// entry, or vice versa.
 func (o Options) key(kind, name string) string {
-	return fmt.Sprintf("%s/%s/scale=%d/period=%d/seed=%d/ref=%t/stat=%t/w=%d",
-		kind, name, o.Scale, o.effectivePeriod(), o.Seed, o.Reference, o.Statistical, o.StatWindow)
+	return fmt.Sprintf("%s/%s/scale=%d/period=%d/seed=%d/ref=%t/w=%d",
+		kind, name, o.Scale, o.effectivePeriod(), o.Seed, o.Reference, o.StatWindow)
 }
 
 // profiledRun bundles a profiled simulation with the program it ran, so

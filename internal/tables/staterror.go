@@ -100,7 +100,7 @@ func (e *Engine) StatErrorSweep(windows []int) ([]StatErrorRow, error) {
 			return StatErrorRow{}, err
 		}
 		o := e.opt
-		o.Statistical, o.StatWindow = true, c.window
+		o.StatWindow = c.window
 		statRun, statRep, err := e.analyzedRun(w, o)
 		if err != nil {
 			return StatErrorRow{}, err

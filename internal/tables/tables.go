@@ -35,12 +35,11 @@ type Options struct {
 	// identical either way (the fast paths change no observable event);
 	// differential tests set it to prove that.
 	Reference bool
-	// Statistical switches profiled runs to sampled-window statistical
-	// simulation with warmup window StatWindow (0 = the engine default).
-	// Unlike Reference this changes observable results (latencies are
-	// estimated between windows), so it is part of the result-cache key.
-	Statistical bool
-	StatWindow  int
+	// StatWindow > 0 switches profiled runs to sampled-window
+	// statistical simulation with that warmup window (0 = exact). Unlike
+	// Reference this changes observable results (latencies are estimated
+	// between windows), so it is part of the result-cache key.
+	StatWindow int
 }
 
 // effectivePeriod is the sampling period after defaulting; result-cache
@@ -68,8 +67,7 @@ func (o Options) runOptions() structslim.Options {
 		opt.Cache = &cfg
 		opt.VM.Reference = true
 	}
-	opt.Analysis.Statistical = o.Statistical
-	opt.Analysis.StatWindow = o.StatWindow
+	opt.VM.StatWindow = o.StatWindow
 	return opt
 }
 

@@ -107,25 +107,21 @@ type Config struct {
 	// Control flow, memory contents, and the set of sampled accesses are
 	// exact; sample latencies, levels, and timestamps are approximate
 	// (see StatCounters). Instruction-gated (IBS) sampling and the
-	// reference engine ignore the setting and stay exact.
+	// reference engine ignore the setting and stay exact. It is the one
+	// switch for statistical mode: 0 runs exactly.
 	StatWindow int
-
-	// Parallel runs each multi-thread phase's threads on separate
-	// goroutines, one simulated core per thread, with deterministic
-	// quantum-boundary merging of shared cache, directory, and memory
-	// state (see parallel.go). Phases that are ineligible — one thread,
-	// threads sharing a core, reachable allocation, or an observer that
-	// is not ParallelSafe — fall back to the sequential engine.
-	Parallel bool
-	// Workers bounds the goroutines executing thread quanta concurrently
-	// (0 = GOMAXPROCS). Results are byte-identical at any worker count.
-	Workers int
 }
 
 // DefaultConfig returns the interpreter defaults.
 func DefaultConfig() Config {
 	return Config{Quantum: 1000, MaxInstrs: 0}
 }
+
+// DefaultStatWindow is the statistical warmup window callers use when they
+// want statistical mode without tuning it: enough accesses to repopulate
+// the hot working set's cache lines ahead of each sample without giving
+// back the speedup (see EXPERIMENTS.md for the measured window sweep).
+const DefaultStatWindow = 64
 
 const defaultMaxInstrs = uint64(1) << 40
 
@@ -152,7 +148,7 @@ var opCost = func() [64]uint64 {
 }()
 
 // CostOf exposes the instruction base cost (excluding memory latency) so
-// analytic execution models can reproduce the interpreter's exact cycle
+// static execution plans can reproduce the interpreter's exact cycle
 // accounting without running it.
 func CostOf(op isa.Op) uint64 { return opCost[op] }
 
@@ -209,8 +205,7 @@ type Thread struct {
 	// evScratch is the MemEvent handed to the observer for this thread's
 	// accesses. Reusing one thread-owned event keeps the per-access path
 	// allocation-free (a stack-local event would escape through the
-	// interface call), and per-thread ownership lets the parallel engine
-	// deliver events from concurrent quanta without sharing.
+	// interface call).
 	evScratch MemEvent
 }
 
@@ -241,14 +236,6 @@ type Machine struct {
 	gap        GapSampler
 	gapByInstr bool
 	winSampler WindowSampler
-
-	// Parallel-engine state: the reusable barrier session, the per-thread
-	// memory views, the memoized can-this-function-allocate analysis, and
-	// the record of what the engine did (see ParallelInfo).
-	parSession *cache.ParallelSession
-	parViews   []*mem.View
-	allocReach []bool // per function: can an Alloc execute from here?
-	parInfo    ParallelInfo
 }
 
 // NewMachine loads the program: it finalizes it if needed, places static
@@ -358,14 +345,6 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 					m.Caches.EnableDecay()
 				}
 			}
-		}
-	}
-
-	if m.cfg.Parallel && m.code != nil && len(m.Threads) > 1 {
-		if reason := m.parallelIneligible(specs); reason == "" {
-			return m.runParallel()
-		} else {
-			m.parInfo.Fallbacks = append(m.parInfo.Fallbacks, reason)
 		}
 	}
 

@@ -1,7 +1,7 @@
 package repro_test
 
 // Differential harness for sampled-window statistical simulation
-// (core.Options.Statistical). Statistical mode is an approximation, not
+// (vm.Config.StatWindow). Statistical mode is an approximation, not
 // an exact twin: skipped accesses charge an estimated latency, so sample
 // latencies, levels, and timestamps drift from exact mode. What must NOT
 // drift — and what this suite hard-gates on all seven paper workloads —
@@ -91,7 +91,7 @@ func TestStatisticalAdviceMatchesExact(t *testing.T) {
 			}
 
 			statOpt := opt
-			statOpt.Analysis.Statistical = true
+			statOpt.VM.StatWindow = vm.DefaultStatWindow
 			p2, phases2, err := w.Build(nil, workloads.ScaleTest)
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func TestStatisticalSampledAddressesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	statOpt := opt
-	statOpt.Analysis.Statistical = true
+	statOpt.VM.StatWindow = vm.DefaultStatWindow
 	p2, phases2, err := w.Build(nil, workloads.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestStatisticalFallsBackExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			statOpt := opt
-			statOpt.Analysis.Statistical = true
+			statOpt.VM.StatWindow = vm.DefaultStatWindow
 			p2, phases2, err := w.Build(nil, workloads.ScaleTest)
 			if err != nil {
 				t.Fatal(err)

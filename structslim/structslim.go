@@ -66,7 +66,12 @@ type Options struct {
 	Cache *cache.Config
 	// Cores sets the simulated core count (0 = max core used + 1).
 	Cores int
-	// VM tunes the interpreter.
+	// VM tunes the interpreter. VM.StatWindow > 0 profiles in
+	// sampled-window statistical mode: only that many accesses of warmup
+	// before each sample (plus the sample itself) run the full cache
+	// model, and ProfileRun attaches a StatReport. The sampled accesses,
+	// and so every stride, size and offset, are unchanged; latencies are
+	// approximate. Run and IBS sampling stay exact either way.
 	VM vm.Config
 	// MergeWorkers bounds the parallel reduction-tree profile merge.
 	MergeWorkers int
@@ -100,21 +105,6 @@ func (o Options) cacheConfig() cache.Config {
 		return *o.Cache
 	}
 	return cache.DefaultConfig()
-}
-
-// vmConfig derives the interpreter config, mapping the analysis-level
-// Statistical switch onto the engine's window setting. The window is
-// inert without a window-capable sampler attached, so baseline (Run) and
-// IBS runs stay exact either way.
-func (o Options) vmConfig() vm.Config {
-	c := o.VM
-	if o.Analysis.Statistical && c.StatWindow == 0 {
-		c.StatWindow = o.Analysis.StatWindow
-		if c.StatWindow == 0 {
-			c.StatWindow = core.DefaultStatWindow
-		}
-	}
-	return c
 }
 
 func coresFor(phases []Phase, override int) int {
@@ -154,9 +144,6 @@ type RunResult struct {
 	ThreadProfiles []*profile.ThreadProfile
 	// Stat is the statistical-mode error report (nil on exact runs).
 	Stat *StatReport
-	// Parallel is the parallel engine's diagnostic record (zero value
-	// unless Options.VM.Parallel was set and a machine run happened).
-	Parallel vm.ParallelInfo
 }
 
 // normalizePhases defaults to a single thread running the entry function.
@@ -211,7 +198,7 @@ func runPhases(m *vm.Machine, phases []Phase) (vm.Stats, error) {
 // and cache statistics.
 func Run(p *prog.Program, phases []Phase, opt Options) (vm.Stats, error) {
 	phases = normalizePhases(p, phases)
-	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), opt.vmConfig())
+	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), opt.VM)
 	if err != nil {
 		return vm.Stats{}, err
 	}
@@ -219,21 +206,10 @@ func Run(p *prog.Program, phases []Phase, opt Options) (vm.Stats, error) {
 }
 
 // ProfileRun executes the program with the PEBS-style sampler attached
-// and returns the run statistics plus the merged profile. With
-// Options.Analysis.AnalyticPhases set, runs whose every phase is exact
-// tier are synthesized analytically (see analytic.go) instead of
-// simulated; anything else falls back to the machine.
+// and returns the run statistics plus the merged profile.
 func ProfileRun(p *prog.Program, phases []Phase, opt Options) (*RunResult, error) {
 	phases = normalizePhases(p, phases)
-	if opt.Analysis.AnalyticPhases {
-		if res, ok, err := analyticProfileRun(p, phases, opt); err != nil {
-			return nil, err
-		} else if ok {
-			return res, nil
-		}
-	}
-	vmCfg := opt.vmConfig()
-	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), vmCfg)
+	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), opt.VM)
 	if err != nil {
 		return nil, err
 	}
@@ -248,9 +224,9 @@ func ProfileRun(p *prog.Program, phases []Phase, opt Options) (*RunResult, error
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Stats: stats, Profile: merged, ThreadProfiles: tps, Parallel: m.ParallelInfo()}
-	if vmCfg.StatWindow > 0 {
-		res.Stat = buildStatReport(vmCfg.StatWindow, stats, merged, opt)
+	res := &RunResult{Stats: stats, Profile: merged, ThreadProfiles: tps}
+	if opt.VM.StatWindow > 0 {
+		res.Stat = buildStatReport(opt.VM.StatWindow, stats, merged, opt)
 	}
 	return res, nil
 }
