@@ -9,7 +9,9 @@ package repro_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -28,10 +30,22 @@ func referenceOptions(opt structslim.Options) structslim.Options {
 	return opt
 }
 
+// forEachEngineSelection runs f as a subtest under GOMAXPROCS 1 and 2,
+// the two sides of the compiled engine's selection: with one P cache
+// timing runs inline, with two it runs on its own goroutine.
+func forEachEngineSelection(t *testing.T, f func(t *testing.T)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), f)
+	}
+}
+
 // TestFastPathProfilesIdentical profiles a sequential and a parallel
-// workload under both sampling modes with each engine and requires
-// deep-equal run results: merged profile, per-thread profiles, and every
-// machine statistic including the cache hierarchy counters.
+// workload under both sampling modes with each engine, on both sides of
+// the engine selection, and requires deep-equal run results: merged
+// profile, per-thread profiles, and every machine statistic including
+// the cache hierarchy counters.
 func TestFastPathProfilesIdentical(t *testing.T) {
 	for _, name := range []string{"art", "clomp"} {
 		for _, ibs := range []bool{false, true} {
@@ -46,14 +60,6 @@ func TestFastPathProfilesIdentical(t *testing.T) {
 				}
 				opt := structslim.Options{SamplePeriod: 3000, Seed: 7, IBS: ibs}
 
-				p, phases, err := w.Build(nil, workloads.ScaleTest)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast, err := structslim.ProfileRun(p, phases, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
 				p2, phases2, err := w.Build(nil, workloads.ScaleTest)
 				if err != nil {
 					t.Fatal(err)
@@ -62,20 +68,30 @@ func TestFastPathProfilesIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				if !reflect.DeepEqual(fast.Stats, ref.Stats) {
-					t.Errorf("run stats differ\nfast: %+v\nref:  %+v", fast.Stats, ref.Stats)
-				}
-				if !reflect.DeepEqual(fast.Profile, ref.Profile) {
-					t.Errorf("merged profiles differ: %d vs %d samples",
-						fast.Profile.NumSamples, ref.Profile.NumSamples)
-				}
-				if !reflect.DeepEqual(fast.ThreadProfiles, ref.ThreadProfiles) {
-					t.Error("per-thread profiles differ")
-				}
-				if fast.Profile.NumSamples == 0 {
+				if ref.Profile.NumSamples == 0 {
 					t.Error("no samples; test has no power")
 				}
+
+				forEachEngineSelection(t, func(t *testing.T) {
+					p, phases, err := w.Build(nil, workloads.ScaleTest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fast, err := structslim.ProfileRun(p, phases, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fast.Stats, ref.Stats) {
+						t.Errorf("run stats differ\nfast: %+v\nref:  %+v", fast.Stats, ref.Stats)
+					}
+					if !reflect.DeepEqual(fast.Profile, ref.Profile) {
+						t.Errorf("merged profiles differ: %d vs %d samples",
+							fast.Profile.NumSamples, ref.Profile.NumSamples)
+					}
+					if !reflect.DeepEqual(fast.ThreadProfiles, ref.ThreadProfiles) {
+						t.Error("per-thread profiles differ")
+					}
+				})
 			})
 		}
 	}

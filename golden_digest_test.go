@@ -105,39 +105,42 @@ func goldenCheck(t *testing.T, key string, text []byte) {
 }
 
 // TestGoldenDigests covers the profiled report with legality verdicts
-// attached, the machine statistics and the statistical error report.
+// attached, the machine statistics and the statistical error report, on
+// both sides of the engine selection.
 func TestGoldenDigests(t *testing.T) {
 	names := append(append([]string(nil), workloads.PaperOrder...), "escape", "falseshare", "mislaid")
-	for _, name := range names {
-		w, err := workloads.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range goldenModes {
-			opt := structslim.Options{SamplePeriod: 3000, Seed: 7}
-			mode.set(&opt)
-			p, phases, err := w.Build(nil, workloads.ScaleTest)
+	forEachEngineSelection(t, func(t *testing.T) {
+		for _, name := range names {
+			w, err := workloads.Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rep, err := structslim.ProfileAndAnalyze(p, phases, opt)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, mode.name, err)
+			for _, mode := range goldenModes {
+				opt := structslim.Options{SamplePeriod: 3000, Seed: 7}
+				mode.set(&opt)
+				p, phases, err := w.Build(nil, workloads.ScaleTest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, rep, err := structslim.ProfileAndAnalyze(p, phases, opt)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, mode.name, err)
+				}
+				if _, err := structslim.AttachLegality(rep, p); err != nil {
+					t.Fatalf("%s/%s: %v", name, mode.name, err)
+				}
+				var report, stat bytes.Buffer
+				rep.RenderText(&report)
+				if res.Stat != nil {
+					res.Stat.RenderText(&stat)
+				}
+				prefix := name + "/" + mode.name + "/"
+				goldenCheck(t, prefix+"report", report.Bytes())
+				goldenCheck(t, prefix+"stats", []byte(fmt.Sprintf("%+v", res.Stats)))
+				goldenCheck(t, prefix+"statreport", stat.Bytes())
 			}
-			if _, err := structslim.AttachLegality(rep, p); err != nil {
-				t.Fatalf("%s/%s: %v", name, mode.name, err)
-			}
-			var report, stat bytes.Buffer
-			rep.RenderText(&report)
-			if res.Stat != nil {
-				res.Stat.RenderText(&stat)
-			}
-			prefix := name + "/" + mode.name + "/"
-			goldenCheck(t, prefix+"report", report.Bytes())
-			goldenCheck(t, prefix+"stats", []byte(fmt.Sprintf("%+v", res.Stats)))
-			goldenCheck(t, prefix+"statreport", stat.Bytes())
 		}
-	}
+	})
 }
 
 // TestGoldenOptimizerDigest covers the optimizer's ranked table on the

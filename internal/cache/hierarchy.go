@@ -209,6 +209,9 @@ func (h *Hierarchy) lastPrivate() int { return h.lastPriv }
 // inclusion back-invalidation, and read downgrade as it happens.
 func (h *Hierarchy) SetCoherenceObserver(o CoherenceObserver) { h.cohObs = o }
 
+// CoherenceObserver returns the attached coherence observer, or nil.
+func (h *Hierarchy) CoherenceObserver() CoherenceObserver { return h.cohObs }
+
 // emitCoherence delivers one coherence event to the observer, if any.
 func (h *Hierarchy) emitCoherence(kind CoherenceKind, tag uint64, core, victim int, dirty bool) {
 	if h.cohObs == nil {

@@ -1,10 +1,13 @@
 package pebs
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // driveInstrs feeds accesses whose Instrs counter advances by
@@ -95,5 +98,57 @@ func TestIBSDeterministicWithRandomization(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("IBS sampling not deterministic per seed")
+	}
+}
+
+// TestIBSSamplesLaterPhases profiles health's init and parallel phases
+// in IBS mode. Every parallel-phase thread must be sampled at its
+// siblings' rate: a slot's tag countdown carries into a later phase the
+// way PEBS-LL's access countdown does, rather than waiting until the
+// slot has retired as many instructions as it did in the phase before.
+func TestIBSSamplesLaterPhases(t *testing.T) {
+	w, err := workloads.Get("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, phases, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := phases[len(phases)-1]
+	m, err := vm.NewMachine(p, cache.DefaultConfig(), len(last), vm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Mode = ModeIBS
+	cfg.Period = 3000
+	s := NewSampler(cfg, m.Space, len(last))
+	m.Observer = s
+	if _, err := m.RunAll(phases[:len(phases)-1]); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]uint64, len(last))
+	for i, tp := range s.Profiles() {
+		before[i] = tp.NumSamples
+	}
+	if _, err := m.Run(last); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, len(last))
+	for i, tp := range s.Profiles() {
+		got[i] = float64(tp.NumSamples - before[i])
+	}
+	for i, n := range got {
+		var siblings float64
+		for j, o := range got {
+			if j != i {
+				siblings += o
+			}
+		}
+		mean := siblings / float64(len(got)-1)
+		if mean == 0 || math.Abs(n-mean) > 0.3*mean {
+			t.Errorf("parallel-phase thread %d: %.0f samples, siblings' mean %.1f (all %v)", i, n, mean, got)
+		}
 	}
 }

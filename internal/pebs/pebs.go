@@ -117,7 +117,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Sampler implements vm.AccessObserver for every thread of a run.
+// Sampler implements vm.GapSampler for every thread of a run.
 type Sampler struct {
 	cfg      Config
 	space    *mem.Space
@@ -125,9 +125,14 @@ type Sampler struct {
 	threads  []threadState
 }
 
+var _ vm.GapSampler = (*Sampler)(nil)
+
+// threadState is one thread slot's sampler state, carried across the
+// machine's phases. SampleAccess owns countdown, nextAt and rng;
+// ChargeSample owns prof.
 type threadState struct {
 	countdown uint64 // PEBS-LL: accesses until the next sample
-	nextAt    uint64 // IBS: instruction count of the next tagged op
+	nextAt    uint64 // IBS: slot instruction count (MemEvent.Instrs) of the next tagged op
 	rng       uint64
 	prof      *profile.ThreadProfile
 }
@@ -166,8 +171,22 @@ func (s *Sampler) nextGap(ts *threadState) uint64 {
 }
 
 // OnAccess implements vm.AccessObserver. It counts every access and, when
-// the period expires, records a sample and returns the handler cost.
+// the period expires, records a sample and returns the handler cost: the
+// composition of SampleAccess and ChargeSample.
 func (s *Sampler) OnAccess(ev *vm.MemEvent) uint64 {
+	obj, ok := s.SampleAccess(ev)
+	if !ok {
+		return 0
+	}
+	return s.ChargeSample(ev, obj)
+}
+
+// SampleAccess implements vm.GapSampler: OnAccess's functional half. It
+// counts the access toward the thread's period and, when the access is a
+// sample, attributes it to the data object it hit (data-centric
+// attribution reads the allocation map, so it cannot wait for timing).
+// It reads no timing field of ev.
+func (s *Sampler) SampleAccess(ev *vm.MemEvent) (*mem.Object, bool) {
 	ts := &s.threads[ev.TID]
 	if s.cfg.Mode == ModeIBS {
 		// IBS tags instruction number nextAt. Tags that land on
@@ -176,7 +195,7 @@ func (s *Sampler) OnAccess(ev *vm.MemEvent) uint64 {
 		// the program's memory-op density — the semantic difference
 		// from PEBS-LL.
 		if ev.Instrs < ts.nextAt {
-			return 0
+			return nil, false
 		}
 		var tagged uint64
 		for ts.nextAt <= ev.Instrs {
@@ -184,16 +203,23 @@ func (s *Sampler) OnAccess(ev *vm.MemEvent) uint64 {
 			ts.nextAt += s.nextGap(ts)
 		}
 		if tagged != ev.Instrs {
-			return 0 // the tagged op was not this memory access
+			return nil, false // the tagged op was not this memory access
 		}
 	} else {
 		ts.countdown--
 		if ts.countdown > 0 {
-			return 0
+			return nil, false
 		}
 		ts.countdown = s.nextGap(ts)
 	}
+	return s.space.FindObject(ev.EA), true
+}
 
+// ChargeSample implements vm.GapSampler: OnAccess's timing half for a
+// selected access. It applies the latency filter, records the sample
+// with its latency, serving level and timestamp, and returns the
+// interrupt-plus-handler cost.
+func (s *Sampler) ChargeSample(ev *vm.MemEvent, obj *mem.Object) uint64 {
 	if ev.Latency < s.cfg.MinLatency {
 		// The PEBS latency filter discards the record in hardware: no
 		// interrupt is raised, so no cost is charged.
@@ -204,11 +230,11 @@ func (s *Sampler) OnAccess(ev *vm.MemEvent) uint64 {
 	// Data-centric attribution: effective address → data object.
 	objID := int32(-1)
 	var identity uint64
-	if o := s.space.FindObject(ev.EA); o != nil {
-		objID = int32(o.ID)
-		identity = o.Identity
+	if obj != nil {
+		objID = int32(obj.ID)
+		identity = obj.Identity
 	}
-	ts.prof.Add(profile.Sample{
+	s.threads[ev.TID].prof.Add(profile.Sample{
 		TID:     int32(ev.TID),
 		IP:      ev.IP,
 		EA:      ev.EA,

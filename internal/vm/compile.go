@@ -21,13 +21,15 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/prog"
 )
 
 // cop is one pre-decoded micro-op. Operand fields are copied out of
 // isa.Instr; target is overloaded per op: the flat uop index of the
-// branch target (Jmp/Br), the callee function id (Call), or the
-// allocation-site type id (Alloc, -1 if untyped). GAddr's imm is the
+// branch target (Jmp/Br), the callee function id (Call), the
+// allocation-site type id (Alloc, -1 if untyped), or the index of the
+// access in the program's memOp table (Load/Store). GAddr's imm is the
 // resolved global base address.
 type cop struct {
 	op           isa.Op
@@ -46,7 +48,7 @@ type cop struct {
 // blocks in order makes fallthrough implicit (Finalize guarantees every
 // block is non-empty and the function's last block ends in a
 // terminator, so pc never runs past the end through fallthrough).
-func compileFunc(p *prog.Program, f *prog.Func, globalBase []uint64) []cop {
+func compileFunc(p *prog.Program, f *prog.Func, globalBase []uint64, memOps *[]memOp) []cop {
 	starts := make([]int32, len(f.Blocks))
 	n := 0
 	for bi, b := range f.Blocks {
@@ -69,6 +71,9 @@ func compileFunc(p *prog.Program, f *prog.Func, globalBase []uint64) []cop {
 				u.target = int32(in.Fn)
 			case isa.GAddr:
 				u.imm = int64(globalBase[in.Imm])
+			case isa.Load, isa.Store:
+				u.target = int32(len(*memOps))
+				*memOps = append(*memOps, memOp{ip: in.IP, size: in.Size, write: in.Op == isa.Store})
 			case isa.Alloc:
 				tid, ok := p.AllocSiteType[in.IP]
 				if !ok {
@@ -82,13 +87,15 @@ func compileFunc(p *prog.Program, f *prog.Func, globalBase []uint64) []cop {
 	return code
 }
 
-// compileProgram compiles every function against the loaded global bases.
-func compileProgram(p *prog.Program, globalBase []uint64) [][]cop {
+// compileProgram compiles every function against the loaded global bases
+// and returns the code with the table of its memory accesses.
+func compileProgram(p *prog.Program, globalBase []uint64) ([][]cop, []memOp) {
 	code := make([][]cop, len(p.Funcs))
+	var memOps []memOp
 	for fi, f := range p.Funcs {
-		code[fi] = compileFunc(p, f, globalBase)
+		code[fi] = compileFunc(p, f, globalBase, &memOps)
 	}
-	return code
+	return code, memOps
 }
 
 // GapSampler is an AccessObserver that can tell the machine, after each
@@ -99,14 +106,27 @@ func compileProgram(p *prog.Program, globalBase []uint64) [][]cop {
 //
 // AccessGap returns either a count of future *accesses* that need no
 // delivery (byInstrs false; the machine reports them in bulk via
-// SkipAccesses before the next OnAccess), or an absolute retired-
-// *instruction* threshold below which accesses need no delivery at all
-// (byInstrs true; nothing is reported back — the sampler's state does
-// not depend on sub-threshold events).
+// SkipAccesses before the next OnAccess), or a MemEvent.Instrs threshold
+// below which accesses need no delivery at all (byInstrs true; nothing
+// is reported back — the sampler's state does not depend on
+// sub-threshold events).
+//
+// SampleAccess and ChargeSample split OnAccess at the line between
+// functional and timing work, so the pipelined engine (pipeline.go) can
+// run them on different goroutines; OnAccess(ev) must equal
+// ChargeSample(ev, obj) when SampleAccess(ev) returns (obj, true), and 0
+// otherwise. SampleAccess sees an event whose Latency, Level and Cycle
+// are zero; it decides whether the access is a sample and, for one,
+// returns the data object it hit (nil if none), because the address
+// space moves on before the timing side runs. ChargeSample gets the
+// completed event and returns the overhead cycles to charge. Each half
+// keeps to its own sampler state: the two may run concurrently.
 type GapSampler interface {
 	AccessObserver
 	AccessGap(tid int) (gap uint64, byInstrs bool)
 	SkipAccesses(tid int, n uint64)
+	SampleAccess(ev *MemEvent) (obj *mem.Object, sample bool)
+	ChargeSample(ev *MemEvent, obj *mem.Object) (overheadCycles uint64)
 }
 
 // WindowSampler is a GapSampler that additionally understands sampled-
@@ -124,8 +144,10 @@ type WindowSampler interface {
 
 // deliverAccess materializes the full MemEvent for one access, flushes
 // any batched skips first so a gap sampler's counters are exact, and
-// re-arms the thread's skip budget from the sampler afterwards.
-func (m *Machine) deliverAccess(t *Thread, ip, ea uint64, size uint8, write bool, res cache.Result) {
+// re-arms the thread's skip budget from the sampler afterwards. When the
+// Run pipelines, it does only OnAccess's functional half here and queues
+// a sample for the timing side, which completes and charges it.
+func (m *Machine) deliverAccess(t *Thread, ip, ea uint64, size uint8, write bool, res cache.Result) (sample bool) {
 	if m.gap != nil && !m.gapByInstr && t.pendSkip > 0 {
 		m.gap.SkipAccesses(t.ID, t.pendSkip)
 		t.pendSkip = 0
@@ -136,20 +158,25 @@ func (m *Machine) deliverAccess(t *Thread, ip, ea uint64, size uint8, write bool
 	ev.EA = ea
 	ev.Size = size
 	ev.Write = write
-	ev.Latency = res.Latency
-	ev.Level = res.Level
-	ev.Cycle = t.Now()
-	ev.Instrs = t.Instrs
+	ev.Instrs = t.instrBase + t.Instrs
 	ev.Ctx = t.ctx()
-	t.OverheadCycles += m.Observer.OnAccess(ev)
-	if m.gap != nil {
-		gap, _ := m.gap.AccessGap(t.ID)
-		if m.gapByInstr {
-			t.instrGate = gap
-		} else {
-			t.sampSkip = gap
+	if m.pipe != nil {
+		ev.Latency, ev.Level, ev.Cycle = 0, 0, 0
+		var obj *mem.Object
+		if obj, sample = m.gap.SampleAccess(ev); sample {
+			c := m.pipe.cur
+			c.samples = append(c.samples, sampleRec{obj: obj, cycles: t.Cycles, instrs: ev.Instrs, ctx: ev.Ctx})
 		}
+	} else {
+		ev.Latency = res.Latency
+		ev.Level = res.Level
+		ev.Cycle = t.Now()
+		t.OverheadCycles += m.Observer.OnAccess(ev)
 	}
+	if m.gap != nil {
+		t.arm(m.gap.AccessGap(t.ID))
+	}
+	return sample
 }
 
 // flushSkips reports batched skipped accesses to the gap sampler. Called
@@ -174,6 +201,7 @@ func (m *Machine) stepThreadFast(t *Thread, quantum int) (uint64, error) {
 	gap := m.gap
 	gapByInstr := m.gapByInstr
 	winSampler := m.winSampler
+	pipe := m.pipe
 	statW := uint64(m.cfg.StatWindow)
 	code := m.code[t.fn]
 	pc := t.pc
@@ -255,60 +283,65 @@ func (m *Machine) stepThreadFast(t *Thread, quantum int) (uint64, error) {
 			write := u.op == isa.Store
 			if write {
 				space.WriteInt(ea, size, regs[u.rd])
+			} else {
+				regs[u.rd] = space.ReadInt(ea, size)
 			}
+			memOps++
 			if t.ffSkip > 0 {
-				// Statistical fast-forward: the write above and the read
-				// below keep program semantics exact; the cache walk is
-				// replaced by the thread's running-mean latency, and the
-				// access is batched as a sampler skip like any other
-				// non-sample access.
+				// Statistical fast-forward: the memory access above keeps
+				// program semantics exact; the cache walk is replaced by
+				// the thread's running-mean latency, and the access is
+				// batched as a sampler skip like any other non-sample
+				// access.
 				t.ffSkip--
 				cycles += t.estLat
-				memOps++
 				t.statSkipped++
 				t.statSkipCycles += t.estLat
-				if !write {
-					regs[u.rd] = space.ReadInt(ea, size)
-				}
 				if sampSkip > 0 {
 					sampSkip--
 					pendSkip++
 				}
 				break
 			}
-			res := caches.Access(t.Core, u.ip, ea, size, write)
-			cycles += uint64(res.Latency)
-			memOps++
+			deliver := obs != nil
+			if gap != nil {
+				if gapByInstr {
+					deliver = instrs >= t.instrGate
+				} else if sampSkip > 0 {
+					sampSkip--
+					pendSkip++
+					deliver = false
+				}
+			}
+			if pipe != nil {
+				// Pipelined tail: select on this side, time on the other.
+				sample := false
+				if deliver {
+					t.Instrs, t.Cycles, t.MemOps = instrs, cycles, memOps
+					t.sampSkip, t.pendSkip = sampSkip, pendSkip
+					sample = m.deliverAccess(t, u.ip, ea, u.size, write, cache.Result{})
+					sampSkip, pendSkip = t.sampSkip, t.pendSkip
+				}
+				pipe.put(ea, u.target, t.ID, sample)
+				break
+			}
+			var res cache.Result
+			res, cycles = timeAccess(caches, t.Core, u.ip, ea, u.size, write, cycles)
 			if winSampler != nil {
 				t.simLatSum += uint64(res.Latency)
 				t.simAccesses++
 			}
-			if !write {
-				regs[u.rd] = space.ReadInt(ea, size)
-			}
-			if obs != nil {
-				deliver := true
-				if gap != nil {
-					if gapByInstr {
-						deliver = instrs >= t.instrGate
-					} else if sampSkip > 0 {
-						sampSkip--
-						pendSkip++
-						deliver = false
-					}
-				}
-				if deliver {
-					t.Instrs, t.Cycles, t.MemOps = instrs, cycles, memOps
-					t.sampSkip, t.pendSkip = sampSkip, pendSkip
-					m.deliverAccess(t, u.ip, ea, u.size, write, res)
-					sampSkip, pendSkip = t.sampSkip, t.pendSkip
-					if winSampler != nil && t.simAccesses > 0 {
-						if ff := winSampler.WindowPlan(t.ID, statW); ff > 0 {
-							t.ffSkip = ff
-							t.estLat = t.simLatSum / t.simAccesses
-							t.statWindows++
-							caches.Age(t.Core, ff)
-						}
+			if deliver {
+				t.Instrs, t.Cycles, t.MemOps = instrs, cycles, memOps
+				t.sampSkip, t.pendSkip = sampSkip, pendSkip
+				m.deliverAccess(t, u.ip, ea, u.size, write, res)
+				sampSkip, pendSkip = t.sampSkip, t.pendSkip
+				if winSampler != nil && t.simAccesses > 0 {
+					if ff := winSampler.WindowPlan(t.ID, statW); ff > 0 {
+						t.ffSkip = ff
+						t.estLat = t.simLatSum / t.simAccesses
+						t.statWindows++
+						caches.Age(t.Core, ff)
 					}
 				}
 			}

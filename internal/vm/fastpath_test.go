@@ -7,11 +7,14 @@ package vm
 // machines differ in nothing else.
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/prog"
 )
 
@@ -184,11 +187,10 @@ func TestFastEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFastEngineEventStream runs a multithreaded two-phase workload on
-// both engines with recording observers attached and compares the full
-// event streams field by field — the strictest possible statement that
-// the compiled engine changes no observable event.
-func TestFastEngineEventStream(t *testing.T) {
+// buildTwoPhase assembles a two-phase workload: one thread fills an
+// array, then two threads on two cores each read and rewrite half of it,
+// across several quanta and more accesses than one pipeline chunk holds.
+func buildTwoPhase() (*prog.Program, [][]ThreadSpec) {
 	const n = 2048
 	b := prog.NewBuilder("events")
 	arr := b.Global("arr", n*8, -1)
@@ -211,8 +213,6 @@ func TestFastEngineEventStream(t *testing.T) {
 	})
 	b.Halt()
 	b.SetEntry(initFn)
-	p := b.MustProgram()
-
 	phases := [][]ThreadSpec{
 		{{Fn: initFn}},
 		{
@@ -220,6 +220,15 @@ func TestFastEngineEventStream(t *testing.T) {
 			{Fn: worker, Args: []int64{n / 2, n / 2}, Core: 1},
 		},
 	}
+	return b.MustProgram(), phases
+}
+
+// TestFastEngineEventStream runs a multithreaded two-phase workload on
+// both engines with recording observers attached and compares the full
+// event streams field by field — the strictest possible statement that
+// the compiled engine changes no observable event.
+func TestFastEngineEventStream(t *testing.T) {
+	p, phases := buildTwoPhase()
 	ccfg := cache.DefaultConfig()
 	fast, ref := machinesBoth(t, p, ccfg, 2)
 	fRec, rRec := &observerRecorder{overhead: 9}, &observerRecorder{overhead: 9}
@@ -240,18 +249,38 @@ func TestFastEngineEventStream(t *testing.T) {
 
 // fakeGapSampler is an in-package GapSampler double (the real one lives
 // in internal/pebs, which imports this package). It records every
-// delivered sample and — crucially — books skipped accesses, so the test
-// can verify the machine's batching squares with an every-event count.
+// charged sample with its attribution and — crucially — books skipped
+// accesses, so the test can verify the machine's batching squares with
+// an every-event count. Like the PEBS-LL latency filter, it drops and
+// charges nothing for samples faster than minLat.
 type fakeGapSampler struct {
 	period   uint64
 	byInstrs bool
+	cost     uint64
+	minLat   uint32
+	space    *mem.Space
 	counts   []uint64 // PEBS: accesses until next sample; IBS: next tagged instr
-	samples  []MemEvent
+	samples  []fakeSample
 	skipped  uint64
+	// composed counts OnAccess calls; the pipelined engine calls the
+	// halves directly.
+	composed uint64
+	// panicAt makes ChargeSample panic on that many-th sample (1-based).
+	panicAt int
+	charged int
 }
 
+// fakeSample is one charged sample: the completed event and the ID of
+// the object SampleAccess attributed it to (-1 if none).
+type fakeSample struct {
+	ev  MemEvent
+	obj int
+}
+
+var _ GapSampler = (*fakeGapSampler)(nil)
+
 func newFakeGapSampler(period uint64, byInstrs bool, threads int) *fakeGapSampler {
-	s := &fakeGapSampler{period: period, byInstrs: byInstrs}
+	s := &fakeGapSampler{period: period, byInstrs: byInstrs, cost: 11}
 	s.counts = make([]uint64, threads)
 	for i := range s.counts {
 		s.counts[i] = period
@@ -260,9 +289,18 @@ func newFakeGapSampler(period uint64, byInstrs bool, threads int) *fakeGapSample
 }
 
 func (s *fakeGapSampler) OnAccess(ev *MemEvent) uint64 {
+	s.composed++
+	obj, ok := s.SampleAccess(ev)
+	if !ok {
+		return 0
+	}
+	return s.ChargeSample(ev, obj)
+}
+
+func (s *fakeGapSampler) SampleAccess(ev *MemEvent) (*mem.Object, bool) {
 	if s.byInstrs {
 		if ev.Instrs < s.counts[ev.TID] {
-			return 0
+			return nil, false
 		}
 		var tagged uint64
 		for s.counts[ev.TID] <= ev.Instrs {
@@ -270,17 +308,34 @@ func (s *fakeGapSampler) OnAccess(ev *MemEvent) uint64 {
 			s.counts[ev.TID] += s.period
 		}
 		if tagged != ev.Instrs {
-			return 0
+			return nil, false
 		}
 	} else {
 		s.counts[ev.TID]--
 		if s.counts[ev.TID] > 0 {
-			return 0
+			return nil, false
 		}
 		s.counts[ev.TID] = s.period
 	}
-	s.samples = append(s.samples, *ev)
-	return 11
+	if s.space == nil {
+		return nil, true
+	}
+	return s.space.FindObject(ev.EA), true
+}
+
+func (s *fakeGapSampler) ChargeSample(ev *MemEvent, obj *mem.Object) uint64 {
+	if s.charged++; s.charged == s.panicAt {
+		panic("fake sampler: timing half failed")
+	}
+	if ev.Latency < s.minLat {
+		return 0
+	}
+	id := -1
+	if obj != nil {
+		id = obj.ID
+	}
+	s.samples = append(s.samples, fakeSample{ev: *ev, obj: id})
+	return s.cost
 }
 
 func (s *fakeGapSampler) AccessGap(tid int) (uint64, bool) {
@@ -295,34 +350,66 @@ func (s *fakeGapSampler) SkipAccesses(tid int, n uint64) {
 	s.skipped += n
 }
 
-// TestGapSamplerBatching runs the same workload with a gap-aware sampler
-// on the fast engine and an every-event count on the reference engine;
-// the recorded samples must be identical, and the fast run must actually
-// have used the no-copy-out path.
+// TestGapSamplerBatching runs the same workloads with a gap-aware
+// sampler on the compiled engine, pipelined (GOMAXPROCS 2), and with an
+// every-event count on the reference engine. Stats, per-thread Cycles
+// and OverheadCycles included, and the charged samples, their
+// timing-side Latency, Level and Cycle included, must be identical; the
+// compiled run must have used the no-copy-out path and the split
+// sampler halves.
 func TestGapSamplerBatching(t *testing.T) {
-	p, _, _ := buildKitchenSink()
-	for _, byInstrs := range []bool{false, true} {
-		ccfg := cache.DefaultConfig()
-		fast, ref := machinesBoth(t, p, ccfg, 1)
-		fSamp := newFakeGapSampler(97, byInstrs, 1)
-		rSamp := newFakeGapSampler(97, byInstrs, 1)
-		fast.Observer, ref.Observer = fSamp, rSamp
-		fs, rs := runBothPhases(t, fast, ref, [][]ThreadSpec{nil})
-		if !reflect.DeepEqual(fs, rs) {
-			t.Errorf("byInstrs=%t: stats differ\nfast: %+v\nref:  %+v", byInstrs, fs, rs)
-		}
-		if len(fSamp.samples) == 0 {
-			t.Fatalf("byInstrs=%t: no samples recorded", byInstrs)
-		}
-		if !reflect.DeepEqual(fSamp.samples, rSamp.samples) {
-			t.Errorf("byInstrs=%t: sample streams differ (fast %d, ref %d)",
-				byInstrs, len(fSamp.samples), len(rSamp.samples))
-		}
-		if !byInstrs && fSamp.skipped == 0 {
-			t.Error("fast engine never used the batched skip path")
-		}
-		if rSamp.skipped != 0 {
-			t.Error("reference engine must deliver every event, not skip")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	kitchen, _, _ := buildKitchenSink()
+	twoPhase, twoPhases := buildTwoPhase()
+	for _, tc := range []struct {
+		name   string
+		p      *prog.Program
+		phases [][]ThreadSpec
+		cores  int
+		period uint64
+		minLat uint32
+	}{
+		{"kitchensink", kitchen, [][]ThreadSpec{nil}, 1, 97, 0},
+		{"two-phase", twoPhase, twoPhases, 2, 37, 0},
+		// L1 hits (4 cycles) are dropped uncharged, so the overhead
+		// account depends on the replayed latencies.
+		{"two-phase-latency-threshold", twoPhase, twoPhases, 2, 37, 10},
+	} {
+		for _, byInstrs := range []bool{false, true} {
+			name := fmt.Sprintf("%s/byInstrs=%t", tc.name, byInstrs)
+			fast, ref := machinesBoth(t, tc.p, cache.DefaultConfig(), tc.cores)
+			threads := 1
+			for _, ph := range tc.phases {
+				threads = max(threads, len(ph))
+			}
+			fSamp := newFakeGapSampler(tc.period, byInstrs, threads)
+			rSamp := newFakeGapSampler(tc.period, byInstrs, threads)
+			fSamp.minLat, rSamp.minLat = tc.minLat, tc.minLat
+			fSamp.space, rSamp.space = fast.Space, ref.Space
+			fast.Observer, ref.Observer = fSamp, rSamp
+			fs, rs := runBothPhases(t, fast, ref, tc.phases)
+			if !reflect.DeepEqual(fs, rs) {
+				t.Errorf("%s: stats differ\nfast: %+v\nref:  %+v", name, fs, rs)
+			}
+			if len(fSamp.samples) == 0 {
+				t.Fatalf("%s: no samples recorded", name)
+			}
+			if !reflect.DeepEqual(fSamp.samples, rSamp.samples) {
+				t.Errorf("%s: sample streams differ (fast %d, ref %d)",
+					name, len(fSamp.samples), len(rSamp.samples))
+			}
+			if tc.minLat > 0 && fSamp.charged == len(fSamp.samples) {
+				t.Errorf("%s: the latency threshold dropped no sample", name)
+			}
+			if !byInstrs && fSamp.skipped == 0 {
+				t.Errorf("%s: fast engine never used the batched skip path", name)
+			}
+			if fSamp.composed != 0 {
+				t.Errorf("%s: fast engine called OnAccess %d times; the pipelined engine calls the halves", name, fSamp.composed)
+			}
+			if rSamp.skipped != 0 {
+				t.Errorf("%s: reference engine must deliver every event, not skip", name)
+			}
 		}
 	}
 }

@@ -11,20 +11,38 @@
 // reports: the wall clock is the max over threads of app cycles, with and
 // without the overhead account.
 //
-// # How the fast path preserves determinism
+// # How the functional/timing split preserves determinism
 //
-// The machine has two execution engines. The reference engine
-// (Config.Reference) interprets isa.Instr values block by block; the
-// default engine runs code block-compiled at NewMachine time
-// (compile.go) and, when the observer is a GapSampler, skips
-// materializing MemEvents for accesses the sampler has promised to
-// ignore. Both engines retire the same instructions in the same order
-// with the same costs against the same memory and cache state, and a
-// skipped event changes no sampler-visible state (the skip count is
-// reported in bulk before the next delivered event), so profiles,
-// statistics, and observer event streams are bit-identical between the
-// two — the fast path changes how fast the simulation runs, never what
-// it computes. The differential tests in fastpath_test.go enforce this.
+// Config.Reference interprets isa.Instr values block by block and is the
+// test oracle. Otherwise the machine runs code block-compiled at
+// NewMachine time (compile.go) and, when the observer is a GapSampler,
+// skips materializing MemEvents for accesses the sampler has promised to
+// ignore; a skipped event changes no sampler-visible state (the skip
+// count is reported in bulk before the next delivered event).
+//
+// No simulated latency ever feeds back into functional execution:
+// threads rotate on instruction quanta, and samplers select accesses by
+// counting accesses or instructions, never cycles. So the compiled engine
+// may run cache timing on its own goroutine (pipeline.go). The functional
+// side executes every instruction, selects and attributes samples
+// (GapSampler.SampleAccess), and counts op-cost cycles; it queues each
+// access in retirement order. The timing goroutine replays the queue
+// through the same hierarchy in the same order, adds each latency to its
+// thread's clock, and stamps and charges each sample
+// (GapSampler.ChargeSample) with the clock the inline engine would have
+// read: op-cost cycles at the access, plus every latency through it, plus
+// the overhead charged before it. Run joins the timing side on every exit
+// before it reads a statistic, and re-raises a timing-side panic on the
+// caller's goroutine. Machine.pipelines is the one selection point:
+// the timing runs inline under Config.Reference, in statistical mode,
+// with any observer other than a GapSampler (access, alloc or coherence
+// observers read machine state as it happens), and when GOMAXPROCS is 1.
+//
+// Either way every engine retires the same instructions in the same
+// order with the same costs against the same memory and cache state, so
+// profiles, statistics, and observer event streams are bit-identical —
+// the engines change how fast the simulation runs, never what it
+// computes. The differential tests in fastpath_test.go enforce this.
 package vm
 
 import (
@@ -49,9 +67,10 @@ type MemEvent struct {
 	Latency uint32
 	Level   uint8 // 1=L1 .. n; n+1 = memory
 	Cycle   uint64
-	// Instrs is the thread's retired-instruction count at this access;
-	// instruction-based samplers (AMD IBS) period off it instead of off
-	// the memory-access count.
+	// Instrs is thread slot TID's retired-instruction count at this
+	// access, counted across the machine's Runs the way a sampler's
+	// per-slot state carries across phases; instruction-based samplers
+	// (AMD IBS) period off it instead of off the memory-access count.
 	Instrs uint64
 	// Ctx is a hash of the thread's calling context (the stack of
 	// call-site IPs). StructSlim's stream assumption — one instruction
@@ -175,10 +194,15 @@ type Thread struct {
 	ctxStack     []uint64 // incremental hash of callPath per depth
 	Halted       bool
 
+	// instrBase is the instructions earlier Runs retired in this thread's
+	// slot; MemEvent.Instrs adds it to Instrs.
+	instrBase uint64
+
 	// Batched-sampling state (compiled engine with a GapSampler):
 	// sampSkip accesses remain undeliverable, pendSkip of them have not
-	// been reported yet, and instrGate is the IBS-style absolute retired-
-	// instruction threshold below which accesses are not delivered.
+	// been reported yet, and instrGate is the IBS-style retired-
+	// instruction threshold (in this Run's Instrs) below which accesses
+	// are not delivered.
 	sampSkip  uint64
 	pendSkip  uint64
 	instrGate uint64
@@ -214,6 +238,18 @@ type Thread struct {
 // would.
 func (t *Thread) Now() uint64 { return t.Cycles + t.OverheadCycles }
 
+// arm sets the thread's skip budget from a GapSampler's AccessGap answer.
+func (t *Thread) arm(gap uint64, byInstrs bool) {
+	switch {
+	case !byInstrs:
+		t.sampSkip = gap
+	case gap > t.instrBase:
+		t.instrGate = gap - t.instrBase
+	default:
+		t.instrGate = 0
+	}
+}
+
 // Machine executes a program against an address space and cache
 // hierarchy.
 type Machine struct {
@@ -229,13 +265,21 @@ type Machine struct {
 	globalBase []uint64
 	cfg        Config
 
-	// code is the block-compiled program (nil under Config.Reference);
-	// gap/gapByInstr cache the observer's GapSampler view for one Run,
-	// and winSampler its WindowSampler view when statistical mode is on.
+	// code is the block-compiled program (nil under Config.Reference)
+	// and memOps the table of its loads and stores; gap/gapByInstr cache
+	// the observer's GapSampler view for one Run, winSampler its
+	// WindowSampler view when statistical mode is on, and pipe the Run's
+	// timing side when it pipelines.
 	code       [][]cop
+	memOps     []memOp
 	gap        GapSampler
 	gapByInstr bool
 	winSampler WindowSampler
+	pipe       *pipeline
+
+	// slotInstrs is the instructions retired in each thread slot by
+	// earlier Runs.
+	slotInstrs []uint64
 }
 
 // NewMachine loads the program: it finalizes it if needed, places static
@@ -263,7 +307,7 @@ func NewMachine(p *prog.Program, cacheCfg cache.Config, numCores int, cfg Config
 		m.globalBase = append(m.globalBase, o.Base)
 	}
 	if !cfg.Reference {
-		m.code = compileProgram(p, m.globalBase)
+		m.code, m.memOps = compileProgram(p, m.globalBase)
 	}
 	return m, nil
 }
@@ -313,6 +357,9 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 			return Stats{}, fmt.Errorf("thread %d: too many arguments", i)
 		}
 		t := &Thread{ID: i, Core: sp.Core, fn: sp.Fn}
+		if i < len(m.slotInstrs) {
+			t.instrBase = m.slotInstrs[i]
+		}
 		for ai, v := range sp.Args {
 			t.Regs[isa.ArgReg0+isa.Reg(ai)] = v
 		}
@@ -330,11 +377,7 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 			for _, t := range m.Threads {
 				gap, byInstr := g.AccessGap(t.ID)
 				m.gapByInstr = byInstr
-				if byInstr {
-					t.instrGate = gap
-				} else {
-					t.sampSkip = gap
-				}
+				t.arm(gap, byInstr)
 			}
 			if m.cfg.StatWindow > 0 && !m.gapByInstr {
 				if w, ok := g.(WindowSampler); ok {
@@ -346,6 +389,13 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 				}
 			}
 		}
+	}
+
+	if m.pipelines() {
+		m.pipe = startPipeline(m.Caches, m.gap, m.memOps, m.Threads)
+		// Every exit, an error or a panic included, drains and joins the
+		// timing side first.
+		defer m.endPipeline()
 	}
 
 	var executed uint64
@@ -375,7 +425,34 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 			return Stats{}, fmt.Errorf("instruction budget exceeded (%d); runaway program?", m.cfg.MaxInstrs)
 		}
 	}
+	m.endPipeline()
+	for i, t := range m.Threads {
+		if i == len(m.slotInstrs) {
+			m.slotInstrs = append(m.slotInstrs, 0)
+		}
+		m.slotInstrs[i] += t.Instrs
+	}
 	return m.stats(), nil
+}
+
+// endPipeline joins the Run's timing side, if any, and adds its clocks to
+// the threads' accounts. It re-raises a timing-side panic.
+func (m *Machine) endPipeline() {
+	p := m.pipe
+	if p == nil {
+		return
+	}
+	m.pipe = nil
+	p.join()
+	for i, t := range m.Threads {
+		t.Cycles += p.accts[i].lat
+		t.OverheadCycles += p.accts[i].over
+	}
+	fault := p.fault
+	p.release()
+	if fault != nil {
+		panic(fault)
+	}
 }
 
 // stepThread runs up to quantum instructions of one thread. The machine's
@@ -486,7 +563,7 @@ func (m *Machine) stepThread(t *Thread, quantum int) (uint64, error) {
 				ev.Latency = res.Latency
 				ev.Level = res.Level
 				ev.Cycle = t.Now()
-				ev.Instrs = t.Instrs
+				ev.Instrs = t.instrBase + t.Instrs
 				ev.Ctx = t.ctx()
 				t.OverheadCycles += obs.OnAccess(ev)
 			}

@@ -2,8 +2,10 @@ package vm
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -408,11 +410,72 @@ func TestObserverEvents(t *testing.T) {
 	}
 }
 
-// TestMaxInstrsGuard aborts an infinite loop.
+// runSelections runs specs on a fresh machine for each side of the
+// engine selection — inline (GOMAXPROCS 1) and pipelined (GOMAXPROCS 2) —
+// with a gap sampler attached, and returns each Run's error. After each
+// Run the goroutine count must be back where it was: every exit joins the
+// timing side.
+func runSelections(t *testing.T, p *prog.Program, cfg Config, specs []ThreadSpec) (inline, pipelined error) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		m, err := NewMachine(p, testCacheConfig(), 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Observer = newFakeGapSampler(7, false, max(1, len(specs)))
+		before := runtime.NumGoroutine()
+		_, err = m.Run(specs)
+		if !goroutinesBackTo(before) {
+			t.Errorf("GOMAXPROCS %d: %d goroutines after a failed Run, %d before", procs, runtime.NumGoroutine(), before)
+		}
+		if procs == 1 {
+			inline = err
+		} else {
+			pipelined = err
+		}
+	}
+	return inline, pipelined
+}
+
+// goroutinesBackTo reports whether the goroutine count falls back to n.
+// A joined goroutine may still be returning from its last statement when
+// Run does, so the check allows it a bounded moment to exit.
+func goroutinesBackTo(n int) bool {
+	for deadline := time.Now().Add(time.Second); ; {
+		if runtime.NumGoroutine() <= n {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+}
+
+// sameError requires both engines to fail with the same text.
+func sameError(t *testing.T, what string, inline, pipelined error) {
+	t.Helper()
+	if inline == nil || pipelined == nil {
+		t.Errorf("%s: accepted (inline %v, pipelined %v)", what, inline, pipelined)
+		return
+	}
+	if inline.Error() != pipelined.Error() {
+		t.Errorf("%s: pipelined error %q, inline %q", what, pipelined, inline)
+	}
+}
+
+// TestMaxInstrsGuard aborts an infinite loop, on either side of the
+// engine selection.
 func TestMaxInstrsGuard(t *testing.T) {
 	b := prog.NewBuilder("inf")
+	g := b.Global("g", 8, -1)
 	b.Func("main", "t.c")
-	b.Jmp(0) // while(true){}
+	base, v := b.R(), b.R()
+	b.GAddr(base, g)
+	b.Load(v, base, isa.RZ, 1, 0, 8)
+	b.Jmp(0) // while(true){ load }
 	p := b.MustProgram()
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 10_000
@@ -423,24 +486,91 @@ func TestMaxInstrsGuard(t *testing.T) {
 	if _, err := m.Run(nil); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("runaway program not caught: %v", err)
 	}
+	inline, pipelined := runSelections(t, p, cfg, nil)
+	sameError(t, "runaway program", inline, pipelined)
 }
 
-// TestRunErrors validates thread-spec checking.
+// TestRunErrors validates thread-spec checking and the failures of a
+// running program — a bad opcode and a panicking sampler — on either
+// side of the engine selection.
 func TestRunErrors(t *testing.T) {
 	b := prog.NewBuilder("e")
 	b.Func("main", "t.c")
 	b.Halt()
 	p := b.MustProgram()
 	m := newTestMachine(t, p, 1)
-	if _, err := m.Run([]ThreadSpec{{Fn: 99}}); err == nil {
-		t.Error("bad function accepted")
+	for _, tc := range []struct {
+		what  string
+		specs []ThreadSpec
+	}{
+		{"bad function", []ThreadSpec{{Fn: 99}}},
+		{"bad core", []ThreadSpec{{Fn: 0, Core: 5}}},
+		{"too many args", []ThreadSpec{{Fn: 0, Args: make([]int64, 9)}}},
+	} {
+		if _, err := m.Run(tc.specs); err == nil {
+			t.Errorf("%s accepted", tc.what)
+		}
+		inline, pipelined := runSelections(t, p, DefaultConfig(), tc.specs)
+		sameError(t, tc.what, inline, pipelined)
 	}
-	if _, err := m.Run([]ThreadSpec{{Fn: 0, Core: 5}}); err == nil {
-		t.Error("bad core accepted")
+
+	// A program that fills more than one pipeline chunk before it reaches
+	// an opcode no engine implements.
+	bad := buildStoreLoop()
+	for _, blk := range bad.Funcs[0].Blocks {
+		for i := range blk.Instrs {
+			if blk.Instrs[i].Op == isa.Nop {
+				blk.Instrs[i].Op = isa.Op(63)
+			}
+		}
 	}
-	if _, err := m.Run([]ThreadSpec{{Fn: 0, Args: make([]int64, 9)}}); err == nil {
-		t.Error("too many args accepted")
+	inline, pipelined := runSelections(t, bad, DefaultConfig(), nil)
+	sameError(t, "bad opcode", inline, pipelined)
+	if pipelined != nil && !strings.Contains(pipelined.Error(), "unimplemented opcode") {
+		t.Errorf("bad opcode: %v", pipelined)
 	}
+
+	// A sampler whose timing half panics: the panic surfaces from Run on
+	// the caller's goroutine, where it can be recovered, on either side.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		m, err := NewMachine(buildStoreLoop(), testCacheConfig(), 1, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newFakeGapSampler(7, false, 1)
+		s.panicAt = 3
+		m.Observer = s
+		before := runtime.NumGoroutine()
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			m.Run(nil)
+			return nil
+		}()
+		if got != "fake sampler: timing half failed" {
+			t.Errorf("GOMAXPROCS %d: recovered %v, want the sampler's panic", procs, got)
+		}
+		if !goroutinesBackTo(before) {
+			t.Errorf("GOMAXPROCS %d: %d goroutines after a panicking Run, %d before", procs, runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// buildStoreLoop assembles a program that stores to more records than one
+// pipeline chunk holds, then runs a Nop and halts.
+func buildStoreLoop() *prog.Program {
+	b := prog.NewBuilder("stores")
+	arr := b.Global("arr", 4096*8, -1)
+	b.Func("main", "t.c")
+	base, iv := b.R(), b.R()
+	b.GAddr(base, arr)
+	b.ForRange(iv, 0, 4096, 1, func() {
+		b.Store(iv, base, iv, 8, 0, 8)
+	})
+	b.Nop()
+	b.Halt()
+	return b.MustProgram()
 }
 
 // TestIntegerOps covers the ALU opcodes end to end.
