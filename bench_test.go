@@ -21,6 +21,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/prog"
+	"repro/internal/stream"
 	"repro/internal/stride"
 	"repro/internal/tables"
 	"repro/internal/vm"
@@ -696,10 +697,11 @@ func BenchmarkRunnerParallel(b *testing.B) {
 }
 
 // TestHotPathAllocationBudget locks in the hot-path allocation wins: the
-// steady-state cache access path is allocation-free, stream updates
-// amortize far below one allocation per sample, and a whole profiled run
-// allocates a constant amount independent of how many memory accesses it
-// executes (~1.4M at test scale).
+// steady-state cache access path is allocation-free, stream updates and
+// new accumulation cells amortize far below one allocation per sample, a
+// streaming report allocates independently of how many cells it folds,
+// and a whole profiled run allocates a constant amount independent of how
+// many memory accesses it executes (~1.4M at test scale).
 func TestHotPathAllocationBudget(t *testing.T) {
 	h, err := cache.NewHierarchy(cache.DefaultConfig(), 1)
 	if err != nil {
@@ -730,6 +732,63 @@ func TestHotPathAllocationBudget(t *testing.T) {
 		k++
 	}); a >= 1 {
 		t.Errorf("ThreadProfile.Add: %.2f allocs/sample, want amortized < 1", a)
+	}
+
+	// A new accumulation cell is an append into a pointer-free slice, not
+	// a heap object. AllocsPerRun truncates to whole allocations per run,
+	// so each run adds many cells.
+	acc := core.NewIdentityAccum(1)
+	obj := &profile.ObjInfo{ID: 0, Identity: 1, Base: 0x10000}
+	sm := profile.Sample{IP: 0x400, EA: obj.Base, Latency: 4}
+	const cellsPerRun = 1000
+	if a := testing.AllocsPerRun(50, func() {
+		for i := 0; i < cellsPerRun; i++ {
+			sm.EA += 8
+			acc.AddSample(&sm, obj, nil)
+		}
+	}) / cellsPerRun; a >= 0.1 {
+		t.Errorf("IdentityAccum.AddSample, new cell per sample: %.3f allocs/sample, want amortized < 0.1", a)
+	}
+
+	// The streaming report folds the sessions' cells in place: its
+	// allocations follow the structures, streams and objects it reports,
+	// not the cells it folds.
+	hw, err := workloads.Get("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, hphases, err := hw.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hres, err := structslim.ProfileRun(hp, hphases, structslim.Options{SamplePeriod: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := stream.New(hp, stream.Config{DropSamples: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := stream.Batch{Session: "all", Period: 12, Objects: hres.Profile.Objects, Samples: hres.Profile.Samples}
+	if err := an.Ingest(batch); err != nil {
+		t.Fatal(err)
+	}
+	type cellKey struct{ ip, rawOff uint64 }
+	cells := make(map[cellKey]bool)
+	for _, s := range hres.Profile.Samples {
+		if o := hres.Profile.ObjByID(s.ObjID); o != nil {
+			cells[cellKey{s.IP, s.EA - o.Base}] = true
+		}
+	}
+	if len(cells) < 10_000 {
+		t.Fatalf("health at period 12: %d cells in the session, want at least 10000", len(cells))
+	}
+	if a := testing.AllocsPerRun(3, func() {
+		if _, err := an.Report(); err != nil {
+			t.Fatal(err)
+		}
+	}); a >= 2000 {
+		t.Errorf("Analyzer.Report over %d cells: %.0f allocs, want < 2000", len(cells), a)
 	}
 
 	w, err := workloads.Get("art")

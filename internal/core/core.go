@@ -242,7 +242,8 @@ func Analyze(p *profile.Profile, program *prog.Program, opt Options) (*Report, e
 		Threads:      p.Threads,
 		OverheadPct:  p.OverheadPct(),
 	}
-	return BuildReport(meta, accums, p.Streams, p.ObjByID, program, loops, opt)
+	parts := []map[uint64]*IdentityAccum{accums}
+	return BuildReport(meta, parts, p.Streams, p.ObjByID, program, loops, opt)
 }
 
 // displayName renders a structure's identity for humans: the symbol name

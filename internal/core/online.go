@@ -45,8 +45,10 @@ type CellStat struct {
 }
 
 // IdentityAccum is the order-insensitive per-sample state of one logical
-// data structure. Accumulators merge by summation, so per-thread (or
-// per-session) instances combine into the program-wide view in any order.
+// data structure. Every field is a sum or a set union, so per-thread (or
+// per-session) accumulators of one identity describe the program-wide
+// view together in any order: BuildReport folds them as parts, without
+// merging or copying them.
 type IdentityAccum struct {
 	Identity uint64
 	Latency  uint64
@@ -56,11 +58,16 @@ type IdentityAccum struct {
 	Objects map[int32]bool
 	// AnyObj carries identity-level display metadata (name, allocation
 	// IP, debug type). The lowest-ID object is kept so the choice is
-	// deterministic regardless of sample or merge order.
+	// deterministic regardless of sample or part order.
 	AnyObj profile.ObjInfo
 	HasObj bool
-	Cells  map[CellKey]*CellStat
 	Levels map[uint8]uint64
+
+	// cellIdx indexes each cell's tally in cells. Both are pointer-free:
+	// a new cell is an append, not a heap object, and the garbage
+	// collector has nothing in them to scan.
+	cellIdx map[CellKey]int32
+	cells   []CellStat
 }
 
 // NewIdentityAccum returns an empty accumulator for one identity.
@@ -68,8 +75,8 @@ func NewIdentityAccum(identity uint64) *IdentityAccum {
 	return &IdentityAccum{
 		Identity: identity,
 		Objects:  make(map[int32]bool),
-		Cells:    make(map[CellKey]*CellStat),
 		Levels:   make(map[uint8]uint64),
+		cellIdx:  make(map[CellKey]int32),
 	}
 }
 
@@ -92,52 +99,19 @@ func (a *IdentityAccum) AddSample(s *profile.Sample, obj *profile.ObjInfo, loops
 		}
 	}
 	ck := CellKey{LoopKey: loopKey, IP: s.IP, RawOff: s.EA - obj.Base}
-	cs := a.Cells[ck]
-	if cs == nil {
-		cs = &CellStat{}
-		a.Cells[ck] = cs
+	i, ok := a.cellIdx[ck]
+	if !ok {
+		i = int32(len(a.cells))
+		a.cellIdx[ck] = i
+		a.cells = append(a.cells, CellStat{})
 	}
+	cs := &a.cells[i]
 	cs.Latency += uint64(s.Latency)
 	cs.Samples++
 	if s.Write {
 		cs.Writes++
 	}
 	a.Levels[s.Level]++
-}
-
-// Merge folds b into a. Both sides must describe the same identity within
-// one process (shared object-ID space).
-func (a *IdentityAccum) Merge(b *IdentityAccum) {
-	a.Latency += b.Latency
-	a.Samples += b.Samples
-	for id := range b.Objects {
-		a.Objects[id] = true
-	}
-	if b.HasObj && (!a.HasObj || b.AnyObj.ID < a.AnyObj.ID) {
-		a.AnyObj = b.AnyObj
-		a.HasObj = true
-	}
-	for ck, cs := range b.Cells {
-		dst := a.Cells[ck]
-		if dst == nil {
-			cp := *cs
-			a.Cells[ck] = &cp
-			continue
-		}
-		dst.Latency += cs.Latency
-		dst.Samples += cs.Samples
-		dst.Writes += cs.Writes
-	}
-	for lvl, n := range b.Levels {
-		a.Levels[lvl] += n
-	}
-}
-
-// Clone deep-copies the accumulator.
-func (a *IdentityAccum) Clone() *IdentityAccum {
-	cp := NewIdentityAccum(a.Identity)
-	cp.Merge(a)
-	return cp
 }
 
 // AccumulateProfile builds per-identity accumulators from a merged
@@ -189,16 +163,19 @@ type ReportMeta struct {
 	OverheadPct  float64
 }
 
-// BuildReport assembles the full analysis from accumulated state: the
-// hot-data ranking (Equation 1) over the accumulators, and for each
-// significant structure the size recovery, field/loop tables, affinities,
-// and splitting advice. objOf resolves object IDs for stream-offset
-// diagnostics (profile.Profile.ObjByID for the batch path). Both the
-// batch Analyze and the streaming analyzer end here, which is what makes
-// their outputs byte-identical.
+// BuildReport assembles the full analysis from accumulated state. parts
+// holds one accumulator map per source of samples — the batch Analyze
+// passes one, the streaming analyzer one per session — and a structure is
+// the sum of its accumulators across the parts: the hot-data ranking
+// (Equation 1) sums their totals, and finalizeStruct folds every part's
+// cells where they are. Every fold is an integer sum, so the report does
+// not depend on how the samples were split into parts. objOf resolves
+// object IDs for stream-offset diagnostics (profile.Profile.ObjByID for
+// the batch path). Both the batch Analyze and the streaming analyzer end
+// here, which is what makes their outputs byte-identical.
 func BuildReport(
 	meta ReportMeta,
-	accums map[uint64]*IdentityAccum,
+	parts []map[uint64]*IdentityAccum,
 	streams map[profile.StreamKey]*profile.StreamStat,
 	objOf func(int32) *profile.ObjInfo,
 	program *prog.Program,
@@ -215,43 +192,84 @@ func BuildReport(
 		Loops:        loops,
 	}
 
-	ranked := make([]*IdentityAccum, 0, len(accums))
-	for _, acc := range accums {
-		ranked = append(ranked, acc)
+	byID := make(map[uint64]*identityParts)
+	var ranked []*identityParts
+	for _, part := range parts {
+		for id, acc := range part {
+			ip := byID[id]
+			if ip == nil {
+				ip = &identityParts{identity: id}
+				byID[id] = ip
+				ranked = append(ranked, ip)
+			}
+			ip.add(acc)
+		}
 	}
 	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Latency != ranked[j].Latency {
-			return ranked[i].Latency > ranked[j].Latency
+		if ranked[i].latency != ranked[j].latency {
+			return ranked[i].latency > ranked[j].latency
 		}
-		return ranked[i].Identity < ranked[j].Identity
+		return ranked[i].identity < ranked[j].identity
 	})
 
-	for rank, acc := range ranked {
+	for rank, ip := range ranked {
 		ld := 0.0
 		if meta.TotalLatency > 0 {
-			ld = float64(acc.Latency) / float64(meta.TotalLatency)
+			ld = float64(ip.latency) / float64(meta.TotalLatency)
 		}
 		analyzed := (rank < opt.TopK && ld >= opt.MinLd) || opt.KeepAllGroups
 		rep.Ranking = append(rep.Ranking, RankEntry{
-			Identity:   acc.Identity,
-			Name:       displayName(&acc.AnyObj, program),
+			Identity:   ip.identity,
+			Name:       displayName(&ip.anyObj, program),
 			Ld:         ld,
-			LatencySum: acc.Latency,
-			NumSamples: acc.Samples,
+			LatencySum: ip.latency,
+			NumSamples: ip.samples,
 			Analyzed:   analyzed,
 		})
 		if !analyzed {
 			continue
 		}
-		rep.Structures = append(rep.Structures, finalizeStruct(acc, ld, streams, objOf, program, loops, opt))
+		rep.Structures = append(rep.Structures, finalizeStruct(ip, ld, streams, objOf, program, loops, opt))
 	}
 	return rep, nil
 }
 
+// identityParts is one identity's accumulators across the report's parts,
+// with the ranking totals summed. It merges totals, never cells.
+type identityParts struct {
+	identity uint64
+	latency  uint64
+	samples  uint64
+	anyObj   profile.ObjInfo
+	hasObj   bool
+	accs     []*IdentityAccum
+}
+
+func (ip *identityParts) add(acc *IdentityAccum) {
+	ip.latency += acc.Latency
+	ip.samples += acc.Samples
+	if acc.HasObj && (!ip.hasObj || acc.AnyObj.ID < ip.anyObj.ID) {
+		ip.anyObj = acc.AnyObj
+		ip.hasObj = true
+	}
+	ip.accs = append(ip.accs, acc)
+}
+
+// numObjects counts the union of the parts' object sets.
+func (ip *identityParts) numObjects() int {
+	union := make(map[int32]bool)
+	for _, acc := range ip.accs {
+		for id := range acc.Objects {
+			union[id] = true
+		}
+	}
+	return len(union)
+}
+
 // finalizeStruct runs stages 2 and 3 for one structure from its
-// accumulator and the merged stream statistics.
+// accumulators and the merged stream statistics.
 func finalizeStruct(
-	acc *IdentityAccum,
+	ip *identityParts,
 	ld float64,
 	allStreams map[profile.StreamKey]*profile.StreamStat,
 	objOf func(int32) *profile.ObjInfo,
@@ -260,19 +278,19 @@ func finalizeStruct(
 	opt Options,
 ) *StructReport {
 	sr := &StructReport{
-		Identity:     acc.Identity,
-		Name:         displayName(&acc.AnyObj, program),
+		Identity:     ip.identity,
+		Name:         displayName(&ip.anyObj, program),
 		Ld:           ld,
-		LatencySum:   acc.Latency,
-		NumSamples:   acc.Samples,
-		NumObjects:   len(acc.Objects),
+		LatencySum:   ip.latency,
+		NumSamples:   ip.samples,
+		NumObjects:   ip.numObjects(),
 		LevelSamples: make(map[uint8]uint64),
 	}
 
 	// Debug info (used for validation and naming only).
 	var debugType *prog.StructType
-	if acc.AnyObj.TypeID >= 0 && int(acc.AnyObj.TypeID) < len(program.Types) {
-		debugType = program.Types[acc.AnyObj.TypeID]
+	if ip.anyObj.TypeID >= 0 && int(ip.anyObj.TypeID) < len(program.Types) {
+		debugType = program.Types[ip.anyObj.TypeID]
 		sr.TypeName = debugType.Name
 		sr.TrueSize = debugType.Size
 		sr.debugFields = debugType.Fields
@@ -287,7 +305,7 @@ func finalizeStruct(
 	var streams []streamInfo
 	var sizeVotes []uint64
 	for key, stat := range allStreams {
-		if key.Identity != acc.Identity {
+		if key.Identity != ip.identity {
 			continue
 		}
 		si := streamInfo{key: key, stat: stat}
@@ -314,11 +332,13 @@ func finalizeStruct(
 		}
 		return sr
 	}
-	for lvl, n := range acc.Levels {
-		sr.LevelSamples[lvl] = n
+	for _, acc := range ip.accs {
+		for lvl, n := range acc.Levels {
+			sr.LevelSamples[lvl] += n
+		}
 	}
 
-	// --- Stage 2b: fold cells mod size — offsets, field and loop tables -
+	// --- Stage 2b: fold every part's cells mod size — field and loop tables
 	fieldLat := make(map[uint64]uint64)
 	fieldSamples := make(map[uint64]uint64)
 	fieldWrites := make(map[uint64]uint64)
@@ -329,32 +349,35 @@ func finalizeStruct(
 	loopTab := make(map[uint64]*loopAgg) // loop key (0 = outside)
 	ab := affinity.NewBuilder()
 
-	for ck, cs := range acc.Cells {
-		off := ck.RawOff % size // Equation 6
-		fieldLat[off] += cs.Latency
-		fieldSamples[off] += cs.Samples
-		fieldWrites[off] += cs.Writes
+	for _, acc := range ip.accs {
+		for ck, i := range acc.cellIdx {
+			cs := &acc.cells[i]
+			off := ck.RawOff % size // Equation 6
+			fieldLat[off] += cs.Latency
+			fieldSamples[off] += cs.Samples
+			fieldWrites[off] += cs.Writes
 
-		la := loopTab[ck.LoopKey]
-		if la == nil {
-			la = &loopAgg{offsets: make(map[uint64]bool)}
-			loopTab[ck.LoopKey] = la
-		}
-		la.lat += cs.Latency
-		la.offsets[off] = true
+			la := loopTab[ck.LoopKey]
+			if la == nil {
+				la = &loopAgg{offsets: make(map[uint64]bool)}
+				loopTab[ck.LoopKey] = la
+			}
+			la.lat += cs.Latency
+			la.offsets[off] = true
 
-		// Affinity (Equation 7) counts co-occurrence within loops.
-		// Accesses outside any loop get a per-instruction pseudo-region
-		// so unrelated straight-line code does not fake co-occurrence.
-		affKey := ck.LoopKey
-		if affKey == 0 {
-			affKey = ck.IP | 1<<63
+			// Affinity (Equation 7) counts co-occurrence within loops.
+			// Accesses outside any loop get a per-instruction pseudo-region
+			// so unrelated straight-line code does not fake co-occurrence.
+			affKey := ck.LoopKey
+			if affKey == 0 {
+				affKey = ck.IP | 1<<63
+			}
+			weight := cs.Latency
+			if opt.WeightByCount {
+				weight = cs.Samples
+			}
+			ab.Add(affKey, off, weight)
 		}
-		weight := cs.Latency
-		if opt.WeightByCount {
-			weight = cs.Samples
-		}
-		ab.Add(affKey, off, weight)
 	}
 
 	// Field table (Table 5).
@@ -371,8 +394,8 @@ func finalizeStruct(
 			Samples:    fieldSamples[off],
 			Writes:     fieldWrites[off],
 		}
-		if acc.Latency > 0 {
-			fr.Share = float64(fr.LatencySum) / float64(acc.Latency)
+		if ip.latency > 0 {
+			fr.Share = float64(fr.LatencySum) / float64(ip.latency)
 		}
 		sr.Fields = append(sr.Fields, fr)
 	}
@@ -380,8 +403,8 @@ func finalizeStruct(
 	// Loop table (Table 6).
 	for key, la := range loopTab {
 		lr := LoopReport{LatencySum: la.lat}
-		if acc.Latency > 0 {
-			lr.Share = float64(la.lat) / float64(acc.Latency)
+		if ip.latency > 0 {
+			lr.Share = float64(la.lat) / float64(ip.latency)
 		}
 		if key != 0 {
 			lr.Loop = loops.Info(key)

@@ -241,7 +241,10 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// Unblock and retry: the accepted batches drain, new ones are taken.
+	// Wait for the drain first; a retry racing the worker may still meet
+	// the full queue and rightly get another 429.
 	once.Do(func() { close(release) })
+	srv.Flush()
 	resp := postBatches(t, ts, server.ContentTypeGob, []stream.Batch{mk(99)})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

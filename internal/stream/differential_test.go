@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -149,9 +150,12 @@ func TestStreamingMatchesBatch(t *testing.T) {
 
 // TestStreamingShardedConcurrent ingests every session from its own
 // goroutine into a sharded analyzer — the server's actual concurrency
-// shape — and requires the report to stay byte-identical. Run under
-// -race (make stream-gate, CI) this also proves the sharded hot path is
-// data-race-free, not merely deterministic.
+// shape — while one reader loops over Report, Live and Snapshot, and
+// requires the final report to stay byte-identical. Every report read
+// during ingest must be one consistent cut: each structure with a known
+// size has field latencies summing to its own. Run under -race (make
+// stream-gate, CI) this also proves the sharded hot path and the
+// in-place report fold are data-race-free, not merely deterministic.
 func TestStreamingShardedConcurrent(t *testing.T) {
 	for _, name := range []string{"art", "clomp"} {
 		t.Run(name, func(t *testing.T) {
@@ -179,6 +183,22 @@ func TestStreamingShardedConcurrent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					ingested := make(chan struct{})
+					readerDone := make(chan struct{})
+					go func() {
+						defer close(readerDone)
+						for {
+							// Check after each pass, so at least one pass
+							// runs whatever the timing.
+							select {
+							case <-ingested:
+								return
+							default:
+							}
+							readDuringIngest(t, a)
+						}
+					}()
+
 					var wg sync.WaitGroup
 					errc := make(chan error, len(res.ThreadProfiles))
 					for _, tp := range res.ThreadProfiles {
@@ -220,6 +240,8 @@ func TestStreamingShardedConcurrent(t *testing.T) {
 						}(tp)
 					}
 					wg.Wait()
+					close(ingested)
+					<-readerDone
 					close(errc)
 					if err := <-errc; err != nil {
 						t.Fatal(err)
@@ -237,9 +259,38 @@ func TestStreamingShardedConcurrent(t *testing.T) {
 	}
 }
 
+// readDuringIngest reads every view once. Before the first batch lands
+// there are no sessions yet, which is the only error allowed.
+func readDuringIngest(t *testing.T, a *stream.Analyzer) {
+	ok := func(view string, err error) bool {
+		if err != nil && !strings.Contains(err.Error(), "no sessions") {
+			t.Errorf("%s during ingest: %v", view, err)
+		}
+		return err == nil
+	}
+	rep, err := a.Report()
+	if ok("Report", err) {
+		for _, sr := range rep.Structures {
+			if sr.InferredSize == 0 {
+				continue
+			}
+			var sum uint64
+			for _, f := range sr.Fields {
+				sum += f.LatencySum
+			}
+			if sum != sr.LatencySum {
+				t.Errorf("%s: fields sum to latency %d, structure has %d", sr.Name, sum, sr.LatencySum)
+			}
+		}
+	}
+	a.Live(0)
+	_, err = a.Snapshot()
+	ok("Snapshot", err)
+}
+
 // TestStreamingReportWithoutSamples checks the headline property: with
 // raw-sample retention disabled the online report is still byte-identical
-// — the analyzer needs only its bounded per-stream/per-identity state.
+// — the analyzer needs only its per-stream/per-identity state.
 func TestStreamingReportWithoutSamples(t *testing.T) {
 	for _, name := range []string{"art", "clomp"} {
 		t.Run(name, func(t *testing.T) {

@@ -12,10 +12,12 @@
 // profiler) or in order-insensitive cells keyed by raw element offset,
 // the analyzer can serve three views at any moment:
 //
-//   - Report: a full core.Report built by merging per-session state and
-//     finishing through core.BuildReport — byte-identical to the batch
-//     analyzer given the same complete event stream, with no need to
-//     retain raw samples;
+//   - Report: a full core.Report, built by core.BuildReport folding each
+//     session's accumulators in place with every session locked in the
+//     canonical (process, TID, id) order — one consistent cut across
+//     sessions, with no accumulation cell copied — byte-identical to the
+//     batch analyzer given the same complete event stream, with no need
+//     to retain raw samples;
 //   - Snapshot: a materialized profile.Profile, produced by lifting each
 //     session to a thread profile and reusing the reduction-tree merge
 //     (profile.MergeTree) and, across processes,
@@ -24,9 +26,15 @@
 //     stream strides with the Equation 4 confidence) computed without
 //     touching the per-sample cells.
 //
-// Memory is bounded per session by LRU eviction of cold streams and cold
-// identities; eviction makes the analysis approximate (evicted state
-// restarts from scratch if its key recurs) and is reported via counters.
+// The online state grows with the distinct keys a session sees: one
+// stream per (IP, context, identity) and one accumulation cell per
+// (loop, IP, raw element offset), so a dense or irregular profile holds
+// nearly as many cells as samples (health at period 12: 87,458 cells for
+// 109,254 samples). LRU eviction bounds the streams (MaxStreams) and the
+// identities (MaxIdentities; an evicted identity's cells go with it), but
+// nothing bounds the cells of an identity that stays tracked. Eviction
+// makes the analysis approximate (evicted state restarts from scratch if
+// its key recurs) and is reported via counters.
 package stream
 
 import (
@@ -83,7 +91,8 @@ type Config struct {
 	MaxIdentities int
 	// DropSamples disables raw-sample retention. Report and Live keep
 	// working (they need only the online state); Snapshot becomes
-	// unavailable.
+	// unavailable. The online state still grows with the distinct cell
+	// keys, up to one cell per sample on irregular access patterns.
 	DropSamples bool
 	// MergeWorkers bounds snapshot merge parallelism.
 	MergeWorkers int
@@ -489,8 +498,10 @@ func (a *Analyzer) Snapshot() (*profile.Profile, error) {
 }
 
 // Report builds the full analysis from the online state alone — no raw
-// samples needed. Per-session accumulators merge by summation; per-
-// session stream statistics merge with the reduction tree's semantics
+// samples needed. It locks every session for the whole build and folds
+// the sessions' own accumulators in place (core.BuildReport takes one
+// part per session), so no accumulation cell is copied; per-session
+// stream statistics merge with the reduction tree's semantics
 // (profile.StreamStat.MergeFrom in ascending session order). The result
 // is byte-identical to core.Analyze over the batch profile of the same
 // complete event stream.
@@ -521,19 +532,27 @@ func (a *Analyzer) Report() (*core.Report, error) {
 		return core.Analyze(p, a.program, a.conf.Analysis)
 	}
 
-	accums := make(map[uint64]*core.IdentityAccum)
+	// Hold every session lock until the build ends, taken in canonical
+	// order. The report is then one consistent cut across sessions, and
+	// ingest waits for the build. This cannot deadlock: no other path
+	// holds two session locks, and concurrent Reports take them in the
+	// same (process, TID, id) order, which is total because ids are
+	// unique.
+	for _, s := range sessions {
+		s.mu.Lock()
+	}
+	defer func() {
+		for _, s := range sessions {
+			s.mu.Unlock()
+		}
+	}()
+
+	parts := make([]map[uint64]*core.IdentityAccum, 0, len(sessions))
 	streams := make(map[profile.StreamKey]*profile.StreamStat)
 	objByID := make(map[int32]*profile.ObjInfo)
 	var totalLatency, numSamples, appCycles, overheadCycles uint64
 	for _, s := range sessions {
-		s.mu.Lock()
-		for id, acc := range s.accums {
-			if dst := accums[id]; dst != nil {
-				dst.Merge(acc)
-			} else {
-				accums[id] = acc.Clone()
-			}
-		}
+		parts = append(parts, s.accums)
 		for k, e := range s.streams {
 			if dst := streams[k]; dst != nil {
 				dst.MergeFrom(&e.stat)
@@ -556,7 +575,6 @@ func (a *Analyzer) Report() (*core.Report, error) {
 		if s.overheadCycles > overheadCycles {
 			overheadCycles = s.overheadCycles
 		}
-		s.mu.Unlock()
 	}
 	overheadPct := 0.0
 	if appCycles > 0 {
@@ -570,7 +588,7 @@ func (a *Analyzer) Report() (*core.Report, error) {
 		OverheadPct:  overheadPct,
 	}
 	objOf := func(id int32) *profile.ObjInfo { return objByID[id] }
-	return core.BuildReport(meta, accums, streams, objOf, a.program, a.loops, a.conf.Analysis)
+	return core.BuildReport(meta, parts, streams, objOf, a.program, a.loops, a.conf.Analysis)
 }
 
 // Program returns the program the analyzer reports against (may be nil).
