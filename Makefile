@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz bench bench-smoke bench-gate vet-sharing stream-smoke bench-stream stream-gate reuse-check bench-stat stat-gate stat-check vet-legality legality-check bench-legality bench-optimize optimize-gate optimize-check
+.PHONY: all build test race lint fmt fuzz bench bench-smoke bench-gate vet-sharing stream-smoke bench-stream stream-gate reuse-check bench-stat stat-gate stat-check vet-legality legality-check bench-legality optimize-check
 
 all: build lint test
 
@@ -143,8 +143,8 @@ bench-smoke:
 # keep the best of three runs, so run-to-run variance (observed swings up
 # to ~13%) does not trip the threshold. A missing baseline skips the gate
 # (benchjson prints "no baseline ..."). Also gates the statistical-mode
-# geomean via stat-gate and the layout optimizer via optimize-gate.
-bench-gate: stat-gate optimize-gate
+# geomean via stat-gate.
+bench-gate: stat-gate
 	$(GO) test -run '^$$' -benchtime 3x -count 3 -bench 'BenchmarkARTProfile' . \
 		| tee /tmp/bench-gate.txt
 	$(GO) run ./cmd/benchjson -gate -in /tmp/bench-gate.txt -baseline $(BENCH_JSON) \
@@ -185,33 +185,10 @@ stat-gate:
 stat-check:
 	$(GO) test -race -run 'TestStatistical' .
 
-# bench-optimize: time the candidate-enumeration + measured A/B
-# selection loop over all seven paper workloads and record BENCH_10.json
-# (wall time plus the geometric-mean exact-confirmed speedup of the
-# selected layouts).
-OPTIMIZE_METRICS ?= optimize-metrics.txt
-OPTIMIZE_JSON ?= BENCH_10.json
-bench-optimize:
-	$(GO) test -run '^$$' -benchtime 3x -bench 'BenchmarkOptimizeSweep' \
-		. | tee $(OPTIMIZE_METRICS)
-	$(GO) run ./cmd/benchjson -in $(OPTIMIZE_METRICS) -out $(OPTIMIZE_JSON)
-
-# optimize-gate: re-measure the sweep and fail when the selected
-# layouts' geomean speedup dropped more than 5% against the committed
-# BENCH_10.json. The metric is deterministic simulation output (not wall
-# time), so the tolerance only absorbs legitimate enumerator retuning,
-# not machine noise.
-optimize-gate:
-	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkOptimizeSweep' . \
-		| tee /tmp/optimize-gate.txt
-	$(GO) run ./cmd/benchjson -gate -in /tmp/optimize-gate.txt -baseline $(OPTIMIZE_JSON) \
-		-bench BenchmarkOptimizeSweep -metric geomean-speedup \
-		-higher-is-better -max-regress 5
-
 # optimize-check: the layout-optimizer acceptance suite — worker-count
-# byte-identity and the stat-vs-exact decision differential over the
-# paper workloads under the race detector, the frozen-fixture refusal,
-# the advice-suboptimal fixture, the enumerator unit tests, the
+# byte-identity, the paper-workload decision digests and geomean floor
+# under the race detector, the frozen-fixture refusal, the
+# advice-suboptimal cases (mislaid, mcf), the enumerator unit tests, the
 # /v1/optimize endpoint tests, and a short run of the enumerator fuzzer
 # (no panic, legality respected, stable dedup).
 optimize-check:

@@ -42,6 +42,8 @@ func main() {
 			"max concurrent simulations (output is byte-identical at any value)")
 	)
 	flag.Parse()
+	sc, err := workloads.ParseScale(*scale)
+	fail(err)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -50,10 +52,6 @@ func main() {
 	}
 	memProfile = *memProf
 
-	sc := workloads.ScaleTest
-	if *scale == "bench" {
-		sc = workloads.ScaleBench
-	}
 	opt := tables.Options{Scale: sc, SamplePeriod: *period, Seed: *seed, Parallel: *parallel}
 	out := os.Stdout
 

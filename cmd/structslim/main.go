@@ -25,10 +25,10 @@
 //	structslim push -workload art -addr 127.0.0.1:7080 -selftest
 //
 // The optimize subcommand closes the loop: it enumerates legal candidate
-// layouts from the analysis, measures every variant on the experiment
-// engine, and prints the ranked table plus the exact-confirmed winner:
+// layouts from the analysis, measures every variant once on the exact
+// machine, and prints the ranked table plus the fastest layout:
 //
-//	structslim optimize -workload art [-exact] [-parallel 8]
+//	structslim optimize -workload art [-parallel 8] [-json out.json]
 package main
 
 import (
@@ -138,9 +138,9 @@ func runProfile(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc := workloads.ScaleTest
-	if *scale == "bench" {
-		sc = workloads.ScaleBench
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 	opt := structslim.Options{
 		SamplePeriod: *period,
@@ -219,16 +219,7 @@ func runProfile(args []string, out io.Writer) error {
 	}
 
 	if *jsonPath != "" {
-		jout := out
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			jout = f
-		}
-		if err := rep.WriteJSON(jout); err != nil {
+		if err := writeOutput(*jsonPath, out, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -274,6 +265,26 @@ func runProfile(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// writeOutput hands write the command's own output when path is "-" and
+// a new file at path otherwise. When write succeeds it returns the
+// file's Close error, so a file that failed to close is not reported as
+// written.
+func writeOutput(path string, out io.Writer, write func(io.Writer) error) (err error) {
+	if path == "-" {
+		return write(out)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
 }
 
 func fail(err error) {

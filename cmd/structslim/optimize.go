@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 
 	"repro/internal/core"
@@ -16,10 +15,10 @@ import (
 // runOptimize closes the loop: profile the workload at its original
 // layout, enumerate legal candidate layouts from the analysis (advice
 // seed, hot/cold bisection, affinity ladder, reorder, padding), measure
-// every candidate on the experiment engine, and print the ranked table
-// plus the exact-machine-confirmed selection.
+// the baseline and every candidate once on the exact machine, and print
+// the ranked table plus the selection, the fastest row.
 //
-//	structslim optimize -workload art [-scale bench] [-parallel 8] [-exact] [-json -]
+//	structslim optimize -workload art [-scale bench] [-parallel 8] [-json -]
 func runOptimize(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	var (
@@ -29,8 +28,6 @@ func runOptimize(args []string, out io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "sampling randomization seed")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent candidate measurements (output is byte-identical at any value)")
-		exact    = fs.Bool("exact", false, "measure every candidate on the exact machine (default: statistical engine + exact confirmation of the leaders)")
-		statWin  = fs.Int("stat-window", 0, "statistical warmup window W in accesses (0 = default)")
 		topK     = fs.Int("topk", 3, "data structures to analyze in depth")
 		thresh   = fs.Float64("affinity", 0.5, "affinity clustering threshold for the advice seed")
 		maxCand  = fs.Int("max-candidates", 0, "cap on enumerated candidates (0 = default)")
@@ -46,17 +43,15 @@ func runOptimize(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc := workloads.ScaleTest
-	if *scale == "bench" {
-		sc = workloads.ScaleBench
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 	opt := optimize.Options{
 		Scale:        sc,
 		SamplePeriod: *period,
 		Seed:         *seed,
 		Parallel:     *parallel,
-		Exact:        *exact,
-		StatWindow:   *statWin,
 		Analysis:     core.Options{TopK: *topK, AffinityThreshold: *thresh},
 		Enum:         optimize.EnumOptions{MaxCandidates: *maxCand},
 	}
@@ -67,20 +62,11 @@ func runOptimize(args []string, out io.Writer) error {
 	res.RenderText(out)
 
 	if *jsonPath != "" {
-		jout := out
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			jout = f
-		}
-		enc := json.NewEncoder(jout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.JSON()); err != nil {
-			return err
-		}
+		return writeOutput(*jsonPath, out, func(jout io.Writer) error {
+			enc := json.NewEncoder(jout)
+			enc.SetIndent("", "  ")
+			return enc.Encode(res.JSON())
+		})
 	}
 	return nil
 }

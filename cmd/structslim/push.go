@@ -73,9 +73,9 @@ func runPush(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc := workloads.ScaleTest
-	if *scale == "bench" {
-		sc = workloads.ScaleBench
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 	p, phases, err := w.Build(nil, sc)
 	if err != nil {

@@ -49,9 +49,9 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 
-	sc := workloads.ScaleTest
-	if *scale == "bench" {
-		sc = workloads.ScaleBench
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 	conf := stream.Config{
 		MaxStreams:    *maxStreams,

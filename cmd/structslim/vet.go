@@ -41,9 +41,9 @@ func runVet(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sc := workloads.ScaleTest
-	if *scale == "bench" {
-		sc = workloads.ScaleBench
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 
 	var targets []workloads.Workload

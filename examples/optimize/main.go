@@ -11,8 +11,8 @@
 // stride of the dominant loop that streams a alone — the full split is
 // strictly better, and only measuring reveals it. internal/optimize
 // enumerates the candidates (advice seed, hot/cold bisection, affinity
-// ladder, reorder, padding), measures each on the statistical engine,
-// and exact-confirms the leaders before selecting.
+// ladder, reorder, padding), measures each once on the exact machine,
+// and selects the fastest.
 //
 //	go run ./examples/optimize
 package main

@@ -17,10 +17,10 @@
 //     split.LayoutFromGroupsChecked) and deduplicated structurally.
 //  2. Each candidate is lowered to a prog.PhysLayout the workload can be
 //     rebuilt with — the mechanical transform.
-//  3. Run / RunWithReport execute every variant on the parallel
-//     experiment engine (internal/runner), statistically by default with
-//     an exact confirmation pass over the leaders, and rank them by
-//     measured cycles (see optimize.go).
+//  3. Run / RunWithReport execute the baseline and every variant once
+//     on the exact machine through the parallel experiment engine
+//     (internal/runner), rank them by measured cycles, and select the
+//     fastest (see optimize.go).
 package optimize
 
 import (

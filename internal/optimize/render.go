@@ -12,8 +12,6 @@ import (
 type ResultJSON struct {
 	Workload string `json:"workload"`
 	Struct   string `json:"struct"`
-	Mode     string `json:"mode"`
-	Window   int    `json:"window,omitempty"`
 	Verdict  string `json:"legality,omitempty"`
 	Frozen   string `json:"frozen_reason,omitempty"`
 
@@ -27,19 +25,17 @@ type ResultJSON struct {
 	ConfirmedSpeedup    float64 `json:"confirmed_speedup"`
 }
 
-// MeasuredJSON is one ranked candidate row.
+// MeasuredJSON is one ranked candidate row; Cycles are exact-machine
+// cycles.
 type MeasuredJSON struct {
-	Rank         int        `json:"rank"`
-	Label        string     `json:"label"`
-	Source       string     `json:"source,omitempty"`
-	Layout       string     `json:"layout"`
-	Groups       [][]string `json:"groups"`
-	Cycles       uint64     `json:"cycles"`
-	Speedup      float64    `json:"speedup"`
-	L1MissRatio  float64    `json:"l1_miss_ratio"`
-	MissRatioCI  float64    `json:"l1_miss_ci95,omitempty"`
-	SimulatedPct float64    `json:"simulated_pct,omitempty"`
-	ExactCycles  uint64     `json:"exact_cycles,omitempty"`
+	Rank        int        `json:"rank"`
+	Label       string     `json:"label"`
+	Source      string     `json:"source,omitempty"`
+	Layout      string     `json:"layout"`
+	Groups      [][]string `json:"groups"`
+	Cycles      uint64     `json:"cycles"`
+	Speedup     float64    `json:"speedup"`
+	L1MissRatio float64    `json:"l1_miss_ratio"`
 }
 
 // SkippedJSON is one candidate the workload refused to build with.
@@ -51,17 +47,14 @@ type SkippedJSON struct {
 
 func measuredJSON(m Measured) MeasuredJSON {
 	return MeasuredJSON{
-		Rank:         m.Rank,
-		Label:        m.Label,
-		Source:       m.Source,
-		Layout:       m.Layout.String(),
-		Groups:       m.Layout.Groups,
-		Cycles:       m.Cycles,
-		Speedup:      m.Speedup,
-		L1MissRatio:  m.L1MissRatio,
-		MissRatioCI:  m.MissRatioCI95,
-		SimulatedPct: m.SimulatedPct,
-		ExactCycles:  m.ExactCycles,
+		Rank:        m.Rank,
+		Label:       m.Label,
+		Source:      m.Source,
+		Layout:      m.Layout.String(),
+		Groups:      m.Layout.Groups,
+		Cycles:      m.ExactCycles,
+		Speedup:     m.Speedup,
+		L1MissRatio: m.L1MissRatio,
 	}
 }
 
@@ -70,8 +63,6 @@ func (r *Result) JSON() *ResultJSON {
 	j := &ResultJSON{
 		Workload:            r.Workload,
 		Struct:              r.Struct,
-		Mode:                r.Mode,
-		Window:              r.Window,
 		Verdict:             r.Verdict,
 		Frozen:              r.FrozenReason,
 		Selected:            measuredJSON(r.Selected),
@@ -90,43 +81,29 @@ func (r *Result) JSON() *ResultJSON {
 }
 
 // RenderText writes the ranked A/B table. The output is deterministic:
-// byte-identical at any worker count for a given measurement mode.
+// byte-identical at any worker count.
 func (r *Result) RenderText(w io.Writer) { r.JSON().RenderText(w) }
 
 // RenderText renders the wire form exactly like Result.RenderText, so a
 // push client's table matches the server operator's.
 func (j *ResultJSON) RenderText(w io.Writer) {
-	mode := j.Mode
-	if j.Window > 0 {
-		mode = fmt.Sprintf("%s (W=%d)", j.Mode, j.Window)
-	}
-	fmt.Fprintf(w, "optimize: workload %s · record %s · %d candidates measured %s\n",
-		j.Workload, j.Struct, len(j.Candidates), mode)
+	fmt.Fprintf(w, "optimize: workload %s · record %s · %d candidates measured exactly\n",
+		j.Workload, j.Struct, len(j.Candidates))
 	if j.Verdict != "" {
 		fmt.Fprintf(w, "legality: %s\n", j.Verdict)
 	}
 	if j.Frozen != "" {
 		fmt.Fprintf(w, "frozen: %s — keeping the original layout\n", j.Frozen)
 	}
-	fmt.Fprintf(w, "%4s  %-18s %-12s %8s  %-15s %6s  %s\n",
-		"rank", "candidate", "cycles", "speedup", "L1 miss ±CI95", "sim%", "layout")
+	fmt.Fprintf(w, "%4s  %-18s %-12s %8s  %-7s  %s\n",
+		"rank", "candidate", "cycles", "speedup", "L1 miss", "layout")
 	for _, c := range j.Candidates {
-		fmt.Fprintf(w, "%4d  %-18s %-12d %7.3fx  %.4f ± %.4f  %5.1f  %s\n",
-			c.Rank, c.Label, c.Cycles, c.Speedup, c.L1MissRatio, c.MissRatioCI, c.SimulatedPct, c.Layout)
+		fmt.Fprintf(w, "%4d  %-18s %-12d %7.3fx  %-7.4f  %s\n",
+			c.Rank, c.Label, c.Cycles, c.Speedup, c.L1MissRatio, c.Layout)
 	}
 	for _, s := range j.Skipped {
 		fmt.Fprintf(w, "skipped %s %s — %s\n", s.Label, s.Layout, s.Reason)
 	}
-	j.renderDecision(w)
-}
-
-// RenderDecision writes only the confirmed outcome — the lines that must
-// be byte-identical across measurement modes as well as worker counts
-// (statistical vs exact ranking may reorder near-ties mid-table, but the
-// exact-machine confirmation pins the decision itself).
-func (r *Result) RenderDecision(w io.Writer) { r.JSON().renderDecision(w) }
-
-func (j *ResultJSON) renderDecision(w io.Writer) {
 	fmt.Fprintf(w, "selected: %s\n", j.Selected.Layout)
 	fmt.Fprintf(w, "confirmed (exact machine): baseline %d → selected %d cycles, speedup %.3fx",
 		j.ExactBaselineCycles, j.ExactSelectedCycles, j.ConfirmedSpeedup)

@@ -306,10 +306,10 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 
 // handleOptimize closes the loop server-side: flush, materialize the
 // streamed profile, analyze it, and run the candidate enumerator + A/B
-// selection loop over the configured workload. The ranked groupings come
-// back as JSON (optimize.ResultJSON). ?mode=exact measures every
-// candidate on the exact machine instead of the statistical engine.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+// selection loop over the configured workload, which measures the
+// baseline and every candidate once on the exact machine. The ranked
+// groupings come back as JSON (optimize.ResultJSON).
+func (s *Server) handleOptimize(w http.ResponseWriter, _ *http.Request) {
 	if s.conf.Optimize == nil {
 		http.Error(w, "optimize: server was started without an optimizable -workload", http.StatusNotImplemented)
 		return
@@ -328,7 +328,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	opt := optimize.Options{
 		Scale:    s.conf.OptimizeScale,
 		Parallel: s.conf.OptimizeParallel,
-		Exact:    r.URL.Query().Get("mode") == "exact",
 		Analysis: s.an.AnalysisOptions(),
 	}
 	res, err := optimize.RunWithReport(s.conf.Optimize, s.an.Program(), rep, opt)

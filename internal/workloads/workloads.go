@@ -45,6 +45,18 @@ func (s Scale) String() string {
 	return "bench"
 }
 
+// ParseScale is the inverse of Scale.String: it accepts exactly "test"
+// and "bench".
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "test":
+		return ScaleTest, nil
+	case "bench":
+		return ScaleBench, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want test or bench)", s)
+}
+
 // Phase is the threads of one sequential stage of a run.
 type Phase = []vm.ThreadSpec
 

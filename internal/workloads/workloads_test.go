@@ -245,3 +245,36 @@ func TestParallelWorkloadsUseFourThreads(t *testing.T) {
 		}
 	}
 }
+
+// TestParseScale: the two scale names parse and round-trip through
+// String; anything else, including a different case or a typo, is
+// rejected with an error naming both valid values.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want workloads.Scale
+		ok   bool
+	}{
+		{"test", workloads.ScaleTest, true},
+		{"bench", workloads.ScaleBench, true},
+		{"", 0, false},
+		{"Bench", 0, false},
+		{"bnech", 0, false},
+	} {
+		got, err := workloads.ParseScale(tc.in)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("ParseScale(%q) = %v, want an error", tc.in, got)
+			} else if msg := err.Error(); !strings.Contains(msg, "test") || !strings.Contains(msg, "bench") {
+				t.Errorf("ParseScale(%q) error %q does not name test and bench", tc.in, msg)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if s := got.String(); s != tc.in {
+			t.Errorf("ParseScale(%q).String() = %q, want a round trip", tc.in, s)
+		}
+	}
+}

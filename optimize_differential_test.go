@@ -2,17 +2,17 @@ package repro_test
 
 // Differential and acceptance gates for the layout optimizer
 // (internal/optimize): the ranked table must be byte-identical at any
-// worker count; the exact-confirmed decision must be identical between
-// the statistical and exact measurement modes; on every paper workload
-// the selected layout must measure no worse than the unsplit baseline
-// and no worse than the paper's one-shot advice on the exact machine,
-// with zero legality violations among the measured candidates; and the
-// planted-illegal fixture must come back frozen with the baseline
-// selected.
+// worker count; on every paper workload each candidate is measured on
+// the exact machine, the selection is the fastest row, its decision
+// matches the recorded digest, and no measured candidate breaks a
+// legality keep-together pair; the geomean selected speedup holds its
+// floor; and the planted-illegal fixture must come back frozen with the
+// baseline selected.
 
 import (
 	"bytes"
-	"strings"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/optimize"
@@ -64,57 +64,45 @@ func TestOptimizeWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// paperGeomeanFloor is the least geometric-mean speedup of the selected
+// layouts over the seven paper workloads at optimizeOptions (measured:
+// 1.52466543). The simulation is deterministic, so the floor sits just
+// under the measured value.
+const paperGeomeanFloor = 1.5246
+
 // TestOptimizePaperWorkloads is the acceptance gate: on each of the
-// seven paper benchmarks the statistical and exact modes must agree on
-// the decision (same selected layout, byte-identical decision lines and
-// candidate sets), the selection must measure no worse than the unsplit
-// baseline and the one-shot advice on the exact machine, and every
-// measured candidate must respect the legality keep-together pairs.
+// seven paper benchmarks every ranked row must carry an exact
+// measurement no faster than the selection, the decision (selected
+// layout, baseline, selected and advice cycles) must match its recorded
+// digest, and every measured candidate must respect the legality
+// keep-together pairs. Over all seven the geomean selected speedup must
+// stay at or above paperGeomeanFloor.
 func TestOptimizePaperWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B sweep over the paper benchmarks")
 	}
-	for _, w := range workloads.Paper() {
+	paper := workloads.Paper()
+	var speedups []float64
+	for _, w := range paper {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			stat, err := optimize.Run(w, optimizeOptions())
+			r, err := optimize.Run(w, optimizeOptions())
 			if err != nil {
-				t.Fatalf("statistical run: %v", err)
+				t.Fatal(err)
 			}
-			exOpt := optimizeOptions()
-			exOpt.Exact = true
-			exact, err := optimize.Run(w, exOpt)
-			if err != nil {
-				t.Fatalf("exact run: %v", err)
+			if r.ExactSelected == 0 || r.ExactBaseline == 0 {
+				t.Fatalf("missing exact measurement (selected=%d baseline=%d)", r.ExactSelected, r.ExactBaseline)
 			}
-
-			// Cross-mode: same candidates enumerated, same decision.
-			if got, want := candidateKeys(stat), candidateKeys(exact); got != want {
-				t.Errorf("candidate sets differ across modes:\nstatistical: %s\nexact:       %s", got, want)
-			}
-			var sd, ed bytes.Buffer
-			stat.RenderDecision(&sd)
-			exact.RenderDecision(&ed)
-			if sd.String() != ed.String() {
-				t.Errorf("decision differs across measurement modes:\nstatistical: %sexact:       %s",
-					sd.String(), ed.String())
-			}
-
-			// Acceptance: never worse than the baseline or the advice.
-			for mode, r := range map[string]*optimize.Result{"statistical": stat, "exact": exact} {
-				if r.ExactSelected == 0 || r.ExactBaseline == 0 {
-					t.Fatalf("%s: missing exact confirmation (selected=%d baseline=%d)",
-						mode, r.ExactSelected, r.ExactBaseline)
-				}
-				if r.ExactSelected > r.ExactBaseline {
-					t.Errorf("%s: selected layout %s is slower than the baseline: %d > %d cycles",
-						mode, r.Selected.Layout, r.ExactSelected, r.ExactBaseline)
-				}
-				if r.ExactAdvice > 0 && r.ExactSelected > r.ExactAdvice {
-					t.Errorf("%s: selected layout %s is slower than the advice: %d > %d cycles",
-						mode, r.Selected.Layout, r.ExactSelected, r.ExactAdvice)
+			// The selection is the fastest row, so it beats or ties the
+			// baseline and the advice, which are rows too.
+			for _, m := range r.Ranked {
+				if m.ExactCycles == 0 || m.ExactCycles < r.ExactSelected {
+					t.Errorf("row %s: %d exact cycles, selection %s takes %d",
+						m.Label, m.ExactCycles, r.Selected.Layout, r.ExactSelected)
 				}
 			}
+			goldenCheck(t, w.Name()+"/exact/decision", []byte(fmt.Sprintf("%s %d %d %d",
+				r.Selected.Layout, r.ExactBaseline, r.ExactSelected, r.ExactAdvice)))
 
 			// Zero legality violations: every measured candidate keeps the
 			// keep-together pairs co-located.
@@ -122,7 +110,7 @@ func TestOptimizePaperWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range stat.Ranked {
+			for _, m := range r.Ranked {
 				for _, pair := range pairs {
 					if m.Layout.Place(pair[0]).Arr != m.Layout.Place(pair[1]).Arr {
 						t.Errorf("candidate %s separates keep-together pair %s/%s: %s",
@@ -130,7 +118,18 @@ func TestOptimizePaperWorkloads(t *testing.T) {
 					}
 				}
 			}
+			speedups = append(speedups, r.ConfirmedSpeedup)
 		})
+	}
+	if len(speedups) != len(paper) {
+		return // a subtest failed before measuring its speedup
+	}
+	logSum := 0.0
+	for _, s := range speedups {
+		logSum += math.Log(s)
+	}
+	if g := math.Exp(logSum / float64(len(speedups))); g < paperGeomeanFloor {
+		t.Errorf("geomean selected speedup %.8f below the floor %.4f", g, paperGeomeanFloor)
 	}
 }
 
@@ -153,21 +152,6 @@ func optimizePairs(w workloads.Workload) ([][2]string, error) {
 		return nil, nil
 	}
 	return sr.Legality.Pairs, nil
-}
-
-func candidateKeys(r *optimize.Result) string {
-	keys := make([]string, len(r.Ranked))
-	for i, m := range r.Ranked {
-		keys[i] = m.Key
-	}
-	// The per-mode ranking may order near-ties differently; compare as a
-	// set by sorting.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return strings.Join(keys, " ; ")
 }
 
 // TestOptimizeFrozenFixture feeds the optimizer the escape fixture —
@@ -197,26 +181,31 @@ func TestOptimizeFrozenFixture(t *testing.T) {
 	}
 }
 
-// TestOptimizeBeatsAdviceOnMislaid pins the reason the A/B loop exists:
-// on the mislaid fixture the paper's first-choice advice is legal but
-// suboptimal, and the measured selection must strictly beat it.
-func TestOptimizeBeatsAdviceOnMislaid(t *testing.T) {
-	w, err := workloads.Get("mislaid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := optimize.Run(w, optimizeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExactAdvice == 0 {
-		t.Fatal("no advice candidate was enumerated")
-	}
-	if res.ExactSelected >= res.ExactAdvice {
-		t.Errorf("selection %s (%d cycles) does not beat the advice (%d cycles)",
-			res.Selected.Layout, res.ExactSelected, res.ExactAdvice)
-	}
-	if res.Selected.Label == "advice" {
-		t.Errorf("fixture is miscalibrated: the advice itself was selected")
+// TestOptimizeBeatsAdvice pins the reason the A/B loop exists: the
+// paper's first-choice advice is legal but suboptimal, and the measured
+// selection must strictly beat it. mislaid is the planted fixture; on
+// mcf the full split beats the advice by about 2% at test scale.
+func TestOptimizeBeatsAdvice(t *testing.T) {
+	for _, name := range []string{"mislaid", "mcf"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := optimize.Run(w, optimizeOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ExactAdvice == 0 {
+				t.Fatal("no advice candidate was enumerated")
+			}
+			if res.ExactSelected >= res.ExactAdvice {
+				t.Errorf("selection %s (%d cycles) does not beat the advice (%d cycles)",
+					res.Selected.Layout, res.ExactSelected, res.ExactAdvice)
+			}
+			if res.Selected.Label == "advice" {
+				t.Errorf("the advice itself was selected")
+			}
+		})
 	}
 }
