@@ -11,8 +11,13 @@ package repro_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +26,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/prog"
+	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/stride"
 	"repro/internal/tables"
@@ -700,7 +706,8 @@ func BenchmarkRunnerParallel(b *testing.B) {
 // steady-state cache access path is allocation-free, stream updates and
 // new accumulation cells amortize far below one allocation per sample, a
 // streaming report allocates independently of how many cells it folds,
-// and a whole profiled run allocates a constant amount independent of how
+// binary ingest over HTTP stays far below one allocation per sample, and
+// a whole profiled run allocates a constant amount independent of how
 // many memory accesses it executes (~1.4M at test scale).
 func TestHotPathAllocationBudget(t *testing.T) {
 	h, err := cache.NewHierarchy(cache.DefaultConfig(), 1)
@@ -791,6 +798,72 @@ func TestHotPathAllocationBudget(t *testing.T) {
 		t.Errorf("Analyzer.Report over %d cells: %.0f allocs, want < 2000", len(cells), a)
 	}
 
+	// Binary HTTP ingest decodes each request into a pooled arena and the
+	// analyzer keeps no raw samples, so a request costs a fixed number of
+	// allocations (connection, handler, queue entry), not one per sample.
+	qw, err := workloads.Get("quickstart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, qphases, err := qw.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qres, err := structslim.ProfileRun(qp, qphases, structslim.Options{SamplePeriod: 53, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batchSamples, batchesPerRequest = 512, 8
+	var requests [][]byte
+	pushed := 0
+	for _, tp := range qres.ThreadProfiles {
+		var body []byte
+		framed := 0
+		for start := 0; start < len(tp.Samples); start += batchSamples {
+			end := min(start+batchSamples, len(tp.Samples))
+			batch := stream.Batch{
+				Session: fmt.Sprintf("t%d", tp.TID), TID: int32(tp.TID),
+				Period: tp.Period, Samples: tp.Samples[start:end],
+			}
+			if start == 0 {
+				batch.Objects = tp.Objects
+			}
+			body = server.AppendBatchBinary(body, &batch)
+			pushed += end - start
+			if framed++; framed == batchesPerRequest {
+				requests = append(requests, body)
+				body, framed = nil, 0
+			}
+		}
+		if framed > 0 {
+			requests = append(requests, body)
+		}
+	}
+	qan, err := stream.New(qp, stream.Config{DropSamples: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(qan, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+	perPass := testing.AllocsPerRun(3, func() {
+		for _, body := range requests {
+			resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeBinary, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("POST /v1/samples: %d", resp.StatusCode)
+			}
+		}
+		srv.Flush()
+	})
+	if a := perPass / float64(pushed); a >= 0.1 {
+		t.Errorf("binary HTTP ingest: %.0f allocs per pass of %d samples = %.4f allocs/sample, want < 0.1", perPass, pushed, a)
+	}
+
 	w, err := workloads.Get("art")
 	if err != nil {
 		t.Fatal(err)
@@ -839,59 +912,35 @@ func BenchmarkMachineHotPath(b *testing.B) {
 	b.ReportMetric(float64(memops), "memops/run")
 }
 
-// BenchmarkARTProfile times the profiled ART run under both execution
-// engines: "reference" forces the switch-dispatch interpreter and
-// disables the L1 hot-line shadow, "fastpath" is the default
-// block-compiled engine with the hot-line shadow and batched sampling.
-// Both produce bit-identical profiles (fastpath_differential_test.go);
-// the "x-vs-reference" metric on the fastpath sub-benchmark is the
-// engine speedup measured within a single process, which makes it
-// machine-neutral — CI gates on it via `make bench-gate`.
-func BenchmarkARTProfile(b *testing.B) {
-	w, err := workloads.Get("art")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, phases, err := w.Build(nil, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, opt structslim.Options) time.Duration {
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if _, err := structslim.ProfileRun(p, phases, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return time.Since(start) / time.Duration(b.N)
-	}
-	var refDur, fastDur time.Duration
-	b.Run("reference", func(b *testing.B) {
-		cfg := cache.DefaultConfig()
-		cfg.DisableHotLine = true
-		refDur = run(b, structslim.Options{
-			SamplePeriod: 3000, Seed: 7,
-			Cache: &cfg, VM: vm.Config{Reference: true},
-		})
-	})
-	b.Run("fastpath", func(b *testing.B) {
-		fastDur = run(b, structslim.Options{SamplePeriod: 3000, Seed: 7})
-		if refDur > 0 && fastDur > 0 {
-			b.ReportMetric(refDur.Seconds()/fastDur.Seconds(), "x-vs-reference")
-		}
-	})
-}
-
-// BenchmarkWorkloadSweep runs the same reference-vs-fastpath comparison
-// as BenchmarkARTProfile across every paper workload, reporting the
-// per-workload engine speedup. Not part of `make bench-smoke` (it is the
-// slowest benchmark in the file); run it manually to regenerate the
-// sweep table in README.md:
+// BenchmarkWorkloadSweep is the repository's speed gate (`make
+// bench-gate`). Each paper workload is one sub-benchmark, and each of its
+// rounds profiles the workload three times in a row: on the reference
+// engines (switch-dispatch interpreter, no L1 hot-line shadow), on the
+// default fast path, and in statistical mode. Timing the engines back to
+// back inside one round keeps host drift out of their ratios. Each
+// engine's best-round speedup over the reference is reported as a custom
+// metric.
 //
-//	go test -run '^$' -benchtime 3x -bench WorkloadSweep .
+// After the sweep the benchmark fails when art's fast path is below
+// artFastFloor or the geomean of the seven statistical speedups is below
+// statGeomeanFloor. Both floors are in-run ratios, not wall times, so no
+// host's speed is built into them; run the gate with
+//
+//	go test -run '^$' -bench BenchmarkWorkloadSweep -benchtime 3x .
 func BenchmarkWorkloadSweep(b *testing.B) {
+	const (
+		artFastFloor     = 1.35
+		statGeomeanFloor = 4.52
+	)
+	refCache := cache.DefaultConfig()
+	refCache.DisableHotLine = true
+	reference := structslim.Options{SamplePeriod: 3000, Seed: 7, Cache: &refCache, VM: vm.Config{Reference: true}}
+	fastpath := structslim.Options{SamplePeriod: 3000, Seed: 7}
+	statistical := fastpath
+	statistical.VM.StatWindow = vm.DefaultStatWindow
+
+	fastX := map[string]float64{}
+	statX := map[string]float64{}
 	for _, name := range workloads.PaperOrder {
 		w, err := workloads.Get(name)
 		if err != nil {
@@ -901,39 +950,56 @@ func BenchmarkWorkloadSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run := func(b *testing.B, opt structslim.Options) time.Duration {
-			b.ResetTimer()
+		timed := func(b *testing.B, opt structslim.Options) float64 {
 			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := structslim.ProfileRun(p, phases, opt); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := structslim.ProfileRun(p, phases, opt); err != nil {
+				b.Fatal(err)
 			}
-			return time.Since(start) / time.Duration(b.N)
+			return time.Since(start).Seconds()
 		}
-		var refDur time.Duration
-		b.Run(name+"/reference", func(b *testing.B) {
-			cfg := cache.DefaultConfig()
-			cfg.DisableHotLine = true
-			refDur = run(b, structslim.Options{
-				SamplePeriod: 3000, Seed: 7,
-				Cache: &cfg, VM: vm.Config{Reference: true},
-			})
-		})
-		b.Run(name+"/fastpath", func(b *testing.B) {
-			fastDur := run(b, structslim.Options{SamplePeriod: 3000, Seed: 7})
-			if refDur > 0 && fastDur > 0 {
-				b.ReportMetric(refDur.Seconds()/fastDur.Seconds(), "x-vs-reference")
+		b.Run(name, func(b *testing.B) {
+			// Go runs this body once with b.N = 1 before the measured
+			// call; each call starts afresh, so the last call's ratios
+			// are the ones kept.
+			var bestFast, bestStat float64
+			for i := 0; i < b.N; i++ {
+				ref := timed(b, reference)
+				bestFast = math.Max(bestFast, ref/timed(b, fastpath))
+				bestStat = math.Max(bestStat, ref/timed(b, statistical))
 			}
+			b.ReportMetric(bestFast, "fastpath-x")
+			b.ReportMetric(bestStat, "statistical-x")
+			fastX[name], statX[name] = bestFast, bestStat
 		})
-		b.Run(name+"/statistical", func(b *testing.B) {
-			opt := structslim.Options{SamplePeriod: 3000, Seed: 7}
-			opt.VM.StatWindow = vm.DefaultStatWindow
-			statDur := run(b, opt)
-			if refDur > 0 && statDur > 0 {
-				b.ReportMetric(refDur.Seconds()/statDur.Seconds(), "x-vs-reference")
+	}
+
+	// A -bench filter may select only some workloads; gate what ran.
+	var missed []string
+	if x, ok := fastX["art"]; ok {
+		b.Logf("art fast path %.3fx (floor %.2fx)", x, artFastFloor)
+		if x < artFastFloor {
+			missed = append(missed, "art fast path")
+		}
+	}
+	if len(statX) == len(workloads.PaperOrder) {
+		logSum := 0.0
+		for _, x := range statX {
+			logSum += math.Log(x)
+		}
+		g := math.Exp(logSum / float64(len(statX)))
+		b.Logf("statistical geomean %.3fx (floor %.2fx)", g, statGeomeanFloor)
+		if g < statGeomeanFloor {
+			missed = append(missed, "statistical geomean")
+		}
+	}
+	if len(missed) > 0 {
+		var ratios strings.Builder
+		for _, name := range workloads.PaperOrder {
+			if x, ok := fastX[name]; ok {
+				fmt.Fprintf(&ratios, "\n  %-10s fastpath %.3fx  statistical %.3fx", name, x, statX[name])
 			}
-		})
+		}
+		b.Fatalf("speed floor missed: %s%s", strings.Join(missed, ", "), ratios.String())
 	}
 }
 

@@ -45,8 +45,7 @@ func runPush(args []string, out io.Writer) error {
 		seed       = fs.Uint64("seed", 1, "sampling randomization seed")
 		batchSize  = fs.Int("batch", 256, "samples per pushed batch")
 		window     = fs.Int("window", 8, "batches sent per request (in-flight batch window)")
-		codec      = fs.String("codec", "binary", "wire format: binary, gob, or ndjson")
-		ndjson     = fs.Bool("ndjson", false, "push NDJSON instead of binary (alias for -codec ndjson)")
+		codec      = fs.String("codec", "binary", "wire format: binary or ndjson")
 		maxRetries = fs.Int("max-retries", 10, "consecutive 429 retries per request before giving up")
 		wait       = fs.Duration("wait", 10*time.Second, "how long to retry connecting to the server")
 		selftest   = fs.Bool("selftest", false, "fetch the server's reports and diff them against the local batch analysis")
@@ -64,7 +63,7 @@ func runPush(args []string, out io.Writer) error {
 	if *window <= 0 {
 		return fmt.Errorf("push: -window must be positive")
 	}
-	ct, err := contentTypeFor(*codec, *ndjson)
+	ct, err := contentTypeFor(*codec)
 	if err != nil {
 		return err
 	}
@@ -164,19 +163,14 @@ func runPush(args []string, out io.Writer) error {
 	return nil
 }
 
-func contentTypeFor(codec string, ndjson bool) (string, error) {
-	if ndjson {
-		codec = "ndjson"
-	}
+func contentTypeFor(codec string) (string, error) {
 	switch codec {
 	case "binary":
 		return server.ContentTypeBinary, nil
-	case "gob":
-		return server.ContentTypeGob, nil
 	case "ndjson":
 		return server.ContentTypeNDJSON, nil
 	default:
-		return "", fmt.Errorf("push: unknown codec %q (want binary, gob, or ndjson)", codec)
+		return "", fmt.Errorf("push: unknown codec %q (want binary or ndjson)", codec)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 
 // runServe starts the streaming profile service: an HTTP server that
 // ingests sample batches (from `structslim push` or any client speaking
-// the gob/NDJSON wire format) and serves online analysis.
+// the binary or NDJSON wire format) and serves online analysis.
 //
 //	structslim serve -workload art [-addr :7080] [-queue 64]
 //

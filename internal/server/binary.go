@@ -5,8 +5,7 @@ package server
 // one frame per stream.Batch, each a fixed little-endian header followed
 // by the session/process strings, packed object records, and packed
 // fixed-width sample records — no varints, no reflection, no type
-// dictionaries. Unlike gob (whose decoder re-reads its type preamble and
-// allocates per value) a frame decodes with plain loads into preallocated
+// dictionaries. A frame decodes with plain loads into preallocated
 // backing arrays, so ingest cost is bounded by the analyzer, not the
 // transport.
 //
@@ -34,8 +33,7 @@ package server
 // The encoding is canonical: a frame is a pure function of its batch, and
 // the decoder rejects any frame whose frameLen disagrees with the sizes
 // implied by its counts, so decode→encode is byte-identical for every
-// accepted input (the fuzz test pins this down, cross-checked against the
-// gob codec).
+// accepted input (the fuzz test pins this down).
 
 import (
 	"encoding/binary"
@@ -322,9 +320,9 @@ func encodeBinary(w io.Writer, bs []stream.Batch) error {
 // DecodeBatchesArena decodes one request body like DecodeBatches but, for
 // the binary content type, into a pooled arena: every batch's Samples
 // slice points into one reused backing array, and each batch must call
-// arena.Release() once it no longer needs the samples. For the other
-// codecs the returned arena is nil (their decoders allocate normally) and
-// Release on nil is a no-op.
+// arena.Release() once it no longer needs the samples. For NDJSON the
+// returned arena is nil (its decoder allocates normally) and Release on
+// nil is a no-op.
 func DecodeBatchesArena(r io.Reader, contentType string) ([]stream.Batch, *Arena, error) {
 	if normalizeContentType(contentType) != ContentTypeBinary {
 		bs, err := DecodeBatches(r, contentType)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,29 +10,24 @@ import (
 	"repro/internal/stream"
 )
 
-// Wire formats for sample-batch ingest. All carry a sequence of
+// Wire formats for sample-batch ingest. Both carry a sequence of
 // stream.Batch values:
 //
 //   - binary (ContentTypeBinary): length-prefixed fixed-width frames, one
-//     per batch (binary.go) — the high-throughput format the pipelined
-//     `structslim push` client uses, decodable into pooled backing arrays
-//     with zero per-sample allocations;
-//   - gob (ContentTypeGob): a single gob-encoded []stream.Batch — the
-//     original compact format, kept for compatibility;
+//     per batch (binary.go) — the canonical format `structslim push`
+//     sends, decodable into pooled backing arrays with zero per-sample
+//     allocations;
 //   - NDJSON (ContentTypeNDJSON): one JSON-encoded batch per line — the
-//     debuggable format for hand-rolled clients (curl, scripts).
+//     format a human can read and write, for hand-rolled clients (curl,
+//     scripts).
 //
-// All codecs are canonical: decoding and re-encoding an encoded value
+// Both codecs are canonical: decoding and re-encoding an encoded value
 // reproduces it byte-identically (the binary framing is a pure function
-// of the batch and rejects length/count mismatches; gob emits type info
-// deterministically for a fixed type; JSON re-marshals struct fields in
-// declaration order), which the fuzz test pins down.
+// of the batch and rejects length/count mismatches; JSON re-marshals
+// struct fields in declaration order), which the fuzz test pins down.
 
-// Content types accepted by POST /v1/samples.
-const (
-	ContentTypeGob    = "application/x-structslim-gob"
-	ContentTypeNDJSON = "application/x-ndjson"
-)
+// ContentTypeNDJSON negotiates newline-delimited JSON batches.
+const ContentTypeNDJSON = "application/x-ndjson"
 
 // DecodeBatches reads all batches of one request body in the given
 // content type.
@@ -41,12 +35,6 @@ func DecodeBatches(r io.Reader, contentType string) ([]stream.Batch, error) {
 	switch normalizeContentType(contentType) {
 	case ContentTypeBinary:
 		return decodeBinary(r, nil)
-	case ContentTypeGob:
-		var bs []stream.Batch
-		if err := gob.NewDecoder(r).Decode(&bs); err != nil {
-			return nil, fmt.Errorf("gob: %w", err)
-		}
-		return bs, nil
 	case ContentTypeNDJSON:
 		var bs []stream.Batch
 		sc := bufio.NewScanner(r)
@@ -67,8 +55,8 @@ func DecodeBatches(r io.Reader, contentType string) ([]stream.Batch, error) {
 		}
 		return bs, nil
 	default:
-		return nil, fmt.Errorf("unsupported content type %q (want %s, %s, or %s)",
-			contentType, ContentTypeBinary, ContentTypeGob, ContentTypeNDJSON)
+		return nil, fmt.Errorf("unsupported content type %q (want %s or %s)",
+			contentType, ContentTypeBinary, ContentTypeNDJSON)
 	}
 }
 
@@ -77,8 +65,6 @@ func EncodeBatches(w io.Writer, contentType string, bs []stream.Batch) error {
 	switch normalizeContentType(contentType) {
 	case ContentTypeBinary:
 		return encodeBinary(w, bs)
-	case ContentTypeGob:
-		return gob.NewEncoder(w).Encode(bs)
 	case ContentTypeNDJSON:
 		bw := bufio.NewWriter(w)
 		for i := range bs {

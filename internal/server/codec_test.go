@@ -8,6 +8,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -62,19 +63,19 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryMatchesGobSemantics cross-checks the two binary codecs: the
-// same batches pushed through gob and through the binary framing must
+// TestBinaryMatchesNDJSONSemantics cross-checks the two codecs: the same
+// batches pushed through NDJSON and through the binary framing must
 // decode to identical values.
-func TestBinaryMatchesGobSemantics(t *testing.T) {
+func TestBinaryMatchesNDJSONSemantics(t *testing.T) {
 	in := testBatches()
-	var gobBuf, binBuf bytes.Buffer
-	if err := server.EncodeBatches(&gobBuf, server.ContentTypeGob, in); err != nil {
+	var jsonBuf, binBuf bytes.Buffer
+	if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.EncodeBatches(&binBuf, server.ContentTypeBinary, in); err != nil {
 		t.Fatal(err)
 	}
-	fromGob, err := server.DecodeBatches(&gobBuf, server.ContentTypeGob)
+	fromJSON, err := server.DecodeBatches(&jsonBuf, server.ContentTypeNDJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,8 @@ func TestBinaryMatchesGobSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromGob, fromBin) {
-		t.Errorf("gob and binary decode to different values:\ngob    %+v\nbinary %+v", fromGob, fromBin)
+	if !reflect.DeepEqual(fromJSON, fromBin) {
+		t.Errorf("NDJSON and binary decode to different values:\nndjson %+v\nbinary %+v", fromJSON, fromBin)
 	}
 }
 
@@ -113,21 +114,21 @@ func TestArenaDecode(t *testing.T) {
 			arena.Release()
 		}
 	}
-	// Non-binary codecs take the plain path: nil arena, Release is a no-op.
-	var gobBuf bytes.Buffer
-	if err := server.EncodeBatches(&gobBuf, server.ContentTypeGob, want); err != nil {
+	// NDJSON takes the plain path: nil arena, Release is a no-op.
+	var jsonBuf bytes.Buffer
+	if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, want); err != nil {
 		t.Fatal(err)
 	}
-	got, arena, err := server.DecodeBatchesArena(&gobBuf, server.ContentTypeGob)
+	got, arena, err := server.DecodeBatchesArena(&jsonBuf, server.ContentTypeNDJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arena != nil {
-		t.Error("gob decode returned an arena")
+		t.Error("NDJSON decode returned an arena")
 	}
 	arena.Release()
 	if !reflect.DeepEqual(got, want) {
-		t.Error("gob arena-path decode differs from input")
+		t.Error("NDJSON arena-path decode differs from input")
 	}
 }
 
@@ -185,7 +186,7 @@ func TestBinaryDecodeErrors(t *testing.T) {
 			[]byte("{\"Session\":\"s\",\"Period\":1}\n")...), "frame 1"},
 		{"gob spliced after frame", func() []byte {
 			var gobBuf bytes.Buffer
-			if err := server.EncodeBatches(&gobBuf, server.ContentTypeGob, testBatches()); err != nil {
+			if err := gob.NewEncoder(&gobBuf).Encode(testBatches()); err != nil {
 				t.Fatal(err)
 			}
 			return append(append([]byte(nil), valid...), gobBuf.Bytes()...)

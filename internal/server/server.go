@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,7 @@ type Server struct {
 
 // queued is one enqueued batch plus the release hook that returns its
 // arena-backed sample storage to the decode pool after ingest (nil for
-// the non-pooled codecs).
+// NDJSON, which is not pooled).
 type queued struct {
 	b    stream.Batch
 	done func()
@@ -342,6 +343,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, res.JSON())
 }
 
+// ContentTypeProfile labels the GET /v1/snapshot body: the merged
+// profile in profile.WriteProfile's encoding, not an ingest batch.
+const ContentTypeProfile = "application/x-structslim-profile"
+
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	s.Flush()
 	p, err := s.an.Snapshot()
@@ -349,7 +354,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	w.Header().Set("Content-Type", ContentTypeGob)
+	w.Header().Set("Content-Type", ContentTypeProfile)
 	if err := profile.WriteProfile(w, p); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
@@ -358,7 +363,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	topK := 0
 	if v := r.URL.Query().Get("top"); v != "" {
-		fmt.Sscanf(v, "%d", &topK)
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			http.Error(w, fmt.Sprintf("top=%q: want a non-negative integer", v), http.StatusBadRequest)
+			return
+		}
+		topK = n
 	}
 	writeJSON(w, s.an.Live(topK))
 }

@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,7 +91,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // and checks the server's report, snapshot, advice, live view, and
 // metrics against the local batch pipeline.
 func TestEndToEnd(t *testing.T) {
-	for _, ct := range []string{server.ContentTypeGob, server.ContentTypeNDJSON} {
+	for _, ct := range []string{server.ContentTypeBinary, server.ContentTypeNDJSON} {
 		t.Run(ct, func(t *testing.T) {
 			w, err := workloads.Get("art")
 			if err != nil {
@@ -136,9 +139,20 @@ func TestEndToEnd(t *testing.T) {
 			}
 
 			// Snapshot round-trips to the batch merged profile.
-			code, body := get(t, ts, "/v1/snapshot")
-			if code != http.StatusOK {
-				t.Fatalf("GET /v1/snapshot: %d", code)
+			resp, err = http.Get(ts.URL + "/v1/snapshot")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /v1/snapshot: %d", resp.StatusCode)
+			}
+			if got := resp.Header.Get("Content-Type"); got != server.ContentTypeProfile {
+				t.Errorf("GET /v1/snapshot Content-Type %q, want %q", got, server.ContentTypeProfile)
 			}
 			snap, err := profile.ReadProfile(bytes.NewReader(body))
 			if err != nil {
@@ -157,7 +171,7 @@ func TestEndToEnd(t *testing.T) {
 			if name == "" {
 				name = hot.Name
 			}
-			code, body = get(t, ts, "/v1/advice/"+name)
+			code, body := get(t, ts, "/v1/advice/"+name)
 			if code != http.StatusOK {
 				t.Fatalf("GET /v1/advice/%s: %d: %s", name, code, body)
 			}
@@ -222,7 +236,7 @@ func TestBackpressure(t *testing.T) {
 	// eventually a POST must bounce with 429.
 	var rejected *http.Response
 	for seq := uint64(0); seq < 8; seq++ {
-		resp := postBatches(t, ts, server.ContentTypeGob, []stream.Batch{mk(seq)})
+		resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(seq)})
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusTooManyRequests {
@@ -245,7 +259,7 @@ func TestBackpressure(t *testing.T) {
 	// the full queue and rightly get another 429.
 	once.Do(func() { close(release) })
 	srv.Flush()
-	resp := postBatches(t, ts, server.ContentTypeGob, []stream.Batch{mk(99)})
+	resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(99)})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
@@ -313,17 +327,36 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain()
 
-	resp, err := http.Post(ts.URL+"/v1/samples", "text/csv", bytes.NewBufferString("x"))
-	if err != nil {
+	// The retired gob codec is refused like any unknown type, and the
+	// refusal names the two codecs the server speaks.
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode([]stream.Batch{{Session: "s", Period: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown content type: %d, want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		ct   string
+		body []byte
+	}{
+		{"text/csv", []byte("x")},
+		{"application/x-structslim-gob", gobBody.Bytes()},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/samples", tc.ct, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", tc.ct, resp.StatusCode)
+		}
+		for _, want := range []string{server.ContentTypeBinary, server.ContentTypeNDJSON} {
+			if !strings.Contains(string(msg), want) {
+				t.Errorf("%s: refusal %q does not name %s", tc.ct, msg, want)
+			}
+		}
 	}
 
-	resp, err = http.Post(ts.URL+"/v1/samples", server.ContentTypeNDJSON,
+	resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeNDJSON,
 		bytes.NewBufferString(`{"Session":"","Period":0}`+"\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -337,5 +370,49 @@ func TestBadRequests(t *testing.T) {
 	// Report with no sessions yet: 409.
 	if code, _ := get(t, ts, "/v1/report"); code != http.StatusConflict {
 		t.Errorf("report with no data: %d, want 409", code)
+	}
+}
+
+// TestLiveTop checks GET /v1/live's top parameter: anything but a
+// non-negative integer is refused, and top=K caps the ranking at K.
+func TestLiveTop(t *testing.T) {
+	an, _ := stream.New(nil, stream.Config{})
+	srv := server.New(an, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	bs := []stream.Batch{{
+		Session: "s", Period: 1000,
+		Objects: []profile.ObjInfo{
+			{ID: 0, Name: "a", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1},
+			{ID: 1, Name: "b", Base: 0x9000, Size: 4096, Identity: 2, TypeID: -1},
+		},
+		Samples: []profile.Sample{
+			{IP: 0x400, EA: 0x1000, Latency: 10, ObjID: 0},
+			{IP: 0x408, EA: 0x9000, Latency: 20, ObjID: 1},
+		},
+	}}
+	resp := postBatches(t, ts, server.ContentTypeNDJSON, bs)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST: %d", resp.StatusCode)
+	}
+	srv.Flush()
+
+	for _, v := range []string{"abc", "-1", "3x"} {
+		if code, body := get(t, ts, "/v1/live?top="+v); code != http.StatusBadRequest {
+			t.Errorf("top=%s: %d, want 400: %s", v, code, body)
+		}
+	}
+	for query, want := range map[string]int{"": 2, "?top=0": 2, "?top=1": 1} {
+		code, body := get(t, ts, "/v1/live"+query)
+		var view stream.LiveView
+		if err := json.Unmarshal(body, &view); code != http.StatusOK || err != nil {
+			t.Fatalf("GET /v1/live%s: %d %v: %s", query, code, err, body)
+		}
+		if len(view.Structures) != want {
+			t.Errorf("GET /v1/live%s: %d structures, want %d", query, len(view.Structures), want)
+		}
 	}
 }

@@ -153,9 +153,9 @@ func TestStreamingMatchesBatch(t *testing.T) {
 // shape — while one reader loops over Report, Live and Snapshot, and
 // requires the final report to stay byte-identical. Every report read
 // during ingest must be one consistent cut: each structure with a known
-// size has field latencies summing to its own. Run under -race (make
-// stream-gate, CI) this also proves the sharded hot path and the
-// in-place report fold are data-race-free, not merely deterministic.
+// size has field latencies summing to its own. Run under -race (CI's
+// stream job) this also proves the sharded hot path and the in-place
+// report fold are data-race-free, not merely deterministic.
 func TestStreamingShardedConcurrent(t *testing.T) {
 	for _, name := range []string{"art", "clomp"} {
 		t.Run(name, func(t *testing.T) {

@@ -165,28 +165,3 @@ func TestLegalityGateRejectsEscapeFixture(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLegalitySweep times the whole-program analysis plus dynamic
-// cross-check over all seven paper workloads — the number recorded into
-// BENCH_8.json by `make bench-legality`.
-func BenchmarkLegalitySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range workloads.Paper() {
-			p, phases, err := w.Build(nil, workloads.ScaleTest)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := legality.AnalyzeProgram(p, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := legality.CrossCheck(a, cache.DefaultConfig(), phases)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Failed() {
-				b.Fatalf("%s: cross-check violations", w.Name())
-			}
-		}
-	}
-}
