@@ -28,13 +28,15 @@ fmt:
 
 # fuzz: a 30s run of each fuzzer no other target runs — the symbolic
 # resolver, the sharing classifier, the thread-profile decoder, the
-# stream GCD observer and function finalization.
+# stream GCD observer, function finalization and the accumulation-cell
+# table.
 fuzz:
 	$(GO) test ./internal/staticlint/ -run '^$$' -fuzz FuzzResolver -fuzztime 30s
 	$(GO) test ./internal/sharing/ -run '^$$' -fuzz FuzzSharingClassifier -fuzztime 30s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzReadThreadProfile -fuzztime 30s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzStreamObserve -fuzztime 30s
 	$(GO) test ./internal/prog/ -run '^$$' -fuzz FuzzFinalize -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzIdentityAccum -fuzztime 30s
 
 # reuse-check: the static reuse-prediction acceptance suite — the
 # 7-workload static-vs-dynamic differential (per-nest histograms,

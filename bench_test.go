@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -704,7 +705,8 @@ func BenchmarkRunnerParallel(b *testing.B) {
 
 // TestHotPathAllocationBudget locks in the hot-path allocation wins: the
 // steady-state cache access path is allocation-free, stream updates and
-// new accumulation cells amortize far below one allocation per sample, a
+// new accumulation cells amortize far below one allocation per sample,
+// the batch analyzer's bytes stay within a budget on a dense profile, a
 // streaming report allocates independently of how many cells it folds,
 // binary ingest over HTTP stays far below one allocation per sample, and
 // a whole profiled run allocates a constant amount independent of how
@@ -741,8 +743,8 @@ func TestHotPathAllocationBudget(t *testing.T) {
 		t.Errorf("ThreadProfile.Add: %.2f allocs/sample, want amortized < 1", a)
 	}
 
-	// A new accumulation cell is an append into a pointer-free slice, not
-	// a heap object. AllocsPerRun truncates to whole allocations per run,
+	// A new accumulation cell is written into a pointer-free block, not a
+	// heap object. AllocsPerRun truncates to whole allocations per run,
 	// so each run adds many cells.
 	acc := core.NewIdentityAccum(1)
 	obj := &profile.ObjInfo{ID: 0, Identity: 1, Base: 0x10000}
@@ -772,6 +774,19 @@ func TestHotPathAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The batch analyzer's bytes follow the cells it builds: each is
+	// written once into a block that never moves, so no regrowth copies
+	// it again.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := core.Analyze(hres.Profile, hp, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if mb := float64(m1.TotalAlloc-m0.TotalAlloc) / 1e6; mb >= 10 {
+		t.Errorf("core.Analyze, health at period 12: %.2f MB allocated, want < 10 MB", mb)
+	}
+
 	an, err := stream.New(hp, stream.Config{DropSamples: true})
 	if err != nil {
 		t.Fatal(err)

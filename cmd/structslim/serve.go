@@ -49,6 +49,9 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *queue < 1 {
+		return fmt.Errorf("serve: -queue %d: want at least 1 batch", *queue)
+	}
 	sc, err := workloads.ParseScale(*scale)
 	if err != nil {
 		return err

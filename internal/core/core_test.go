@@ -18,7 +18,7 @@ import (
 
 // testProgram builds one function with two loops; returns the program and
 // the IPs of the load instruction inside each loop plus one outside.
-func testProgram(t *testing.T) (p *prog.Program, loopAIP, loopBIP, outsideIP uint64, typeID int) {
+func testProgram(t testing.TB) (p *prog.Program, loopAIP, loopBIP, outsideIP uint64, typeID int) {
 	t.Helper()
 	b := prog.NewBuilder("unit")
 	rec := prog.MustRecord("pair",

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 
 	"repro/internal/affinity"
@@ -63,11 +65,55 @@ type IdentityAccum struct {
 	HasObj bool
 	Levels map[uint8]uint64
 
-	// cellIdx indexes each cell's tally in cells. Both are pointer-free:
-	// a new cell is an append, not a heap object, and the garbage
+	// lastObj is the previous sample's object, already in Objects.
+	lastObj int32
+
+	// The cells apply the paper's hot/cold split to the accumulator
+	// itself. blocks holds each cell beside its key; a block is allocated
+	// at its full capacity and never moves, so a new cell is written once
+	// and never copied. slots is an open-addressed index over them: a
+	// probe compares each slot's 32-bit hash tag and reads a 48-byte cell
+	// only when its tag matches. Both are pointer-free, so the garbage
 	// collector has nothing in them to scan.
-	cellIdx map[CellKey]int32
-	cells   []CellStat
+	blocks [][]cell
+	slots  []uint64
+	nCells int
+}
+
+// cell is one accumulation cell with its key.
+type cell struct {
+	key CellKey
+	CellStat
+}
+
+const (
+	// Cell blocks double from firstBlockCells up to maxBlockCells, so a
+	// small identity stays small and a large one wastes at most one
+	// block's tail.
+	firstBlockCells = 64
+	maxBlockCells   = 4096
+	// minSlots is the slot table's first size. It doubles whenever an
+	// insert would push its load above 3/4.
+	minSlots = 16
+
+	// A slot packs the hash tag into its high 32 bits and the cell's
+	// location, block<<slotIdxBits | index in block, into its low 32. The
+	// tag's low bit is always set, so an empty slot is exactly 0.
+	slotIdxBits = 12 // log2(maxBlockCells)
+	slotLocMask = 1<<32 - 1
+	slotIdxMask = 1<<slotIdxBits - 1
+)
+
+// cellSeed keys the cell hash per process, so a client that controls
+// sampled IPs and addresses cannot choose keys that collide in every
+// run and force long probe chains.
+var cellSeed = [2]uint64{rand.Uint64(), rand.Uint64()}
+
+// cellHash mixes a key nonlinearly: the 128-bit product of two
+// seed-xored key words, folded to 64 bits.
+func cellHash(k *CellKey) uint64 {
+	hi, lo := bits.Mul64(k.IP^k.LoopKey^cellSeed[0], k.RawOff^cellSeed[1])
+	return hi ^ lo
 }
 
 // NewIdentityAccum returns an empty accumulator for one identity.
@@ -76,7 +122,7 @@ func NewIdentityAccum(identity uint64) *IdentityAccum {
 		Identity: identity,
 		Objects:  make(map[int32]bool),
 		Levels:   make(map[uint8]uint64),
-		cellIdx:  make(map[CellKey]int32),
+		slots:    make([]uint64, minSlots),
 	}
 }
 
@@ -87,7 +133,10 @@ func NewIdentityAccum(identity uint64) *IdentityAccum {
 func (a *IdentityAccum) AddSample(s *profile.Sample, obj *profile.ObjInfo, loops *cfg.ProgramLoops) {
 	a.Latency += uint64(s.Latency)
 	a.Samples++
-	a.Objects[s.ObjID] = true
+	if s.ObjID != a.lastObj || a.Samples == 1 {
+		a.Objects[s.ObjID] = true
+		a.lastObj = s.ObjID
+	}
 	if !a.HasObj || obj.ID < a.AnyObj.ID {
 		a.AnyObj = *obj
 		a.HasObj = true
@@ -98,20 +147,92 @@ func (a *IdentityAccum) AddSample(s *profile.Sample, obj *profile.ObjInfo, loops
 			loopKey = li.Key
 		}
 	}
-	ck := CellKey{LoopKey: loopKey, IP: s.IP, RawOff: s.EA - obj.Base}
-	i, ok := a.cellIdx[ck]
-	if !ok {
-		i = int32(len(a.cells))
-		a.cellIdx[ck] = i
-		a.cells = append(a.cells, CellStat{})
-	}
-	cs := &a.cells[i]
+	cs := a.cell(CellKey{LoopKey: loopKey, IP: s.IP, RawOff: s.EA - obj.Base})
 	cs.Latency += uint64(s.Latency)
 	cs.Samples++
 	if s.Write {
 		cs.Writes++
 	}
 	a.Levels[s.Level]++
+}
+
+// NumCells returns the number of distinct cells accumulated so far.
+func (a *IdentityAccum) NumCells() int { return a.nCells }
+
+// cell returns the tally of key k, adding an empty cell on first sight.
+func (a *IdentityAccum) cell(k CellKey) *CellStat {
+	h := cellHash(&k)
+	tag := h>>32 | 1
+	mask := uint64(len(a.slots) - 1)
+	i := h & mask
+	for ; a.slots[i] != 0; i = (i + 1) & mask {
+		if s := a.slots[i]; s>>32 == tag {
+			if c := a.at(s); c.key == k {
+				return &c.CellStat
+			}
+		}
+	}
+	if 4*(a.nCells+1) > 3*len(a.slots) {
+		a.grow()
+		i = a.emptySlot(h)
+	}
+	loc := a.appendCell(k)
+	a.slots[i] = tag<<32 | loc
+	return &a.at(loc).CellStat
+}
+
+// emptySlot returns the first empty slot on hash h's probe path.
+func (a *IdentityAccum) emptySlot(h uint64) uint64 {
+	mask := uint64(len(a.slots) - 1)
+	i := h & mask
+	for a.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// at returns the cell a slot (or a bare location) points to.
+func (a *IdentityAccum) at(slot uint64) *cell {
+	loc := slot & slotLocMask
+	return &a.blocks[loc>>slotIdxBits][loc&slotIdxMask]
+}
+
+// appendCell stores a new cell, opening the next block when the last one
+// is full, and returns its location.
+func (a *IdentityAccum) appendCell(k CellKey) uint64 {
+	n := len(a.blocks)
+	if n == 0 || len(a.blocks[n-1]) == cap(a.blocks[n-1]) {
+		size := firstBlockCells
+		if n > 0 {
+			size = min(2*cap(a.blocks[n-1]), maxBlockCells)
+		}
+		a.blocks = append(a.blocks, make([]cell, 0, size))
+		n++
+	}
+	blk := &a.blocks[n-1]
+	*blk = append(*blk, cell{key: k})
+	a.nCells++
+	return uint64(n-1)<<slotIdxBits | uint64(len(*blk)-1)
+}
+
+// eachCell calls fn once on every cell, in insertion order.
+func (a *IdentityAccum) eachCell(fn func(*cell)) {
+	for _, blk := range a.blocks {
+		for j := range blk {
+			fn(&blk[j])
+		}
+	}
+}
+
+// grow doubles the slot table and reinserts every cell from its blocks.
+func (a *IdentityAccum) grow() {
+	a.slots = make([]uint64, 2*len(a.slots))
+	for b, blk := range a.blocks {
+		for j := range blk {
+			h := cellHash(&blk[j].key)
+			a.slots[a.emptySlot(h)] = (h>>32|1)<<32 | uint64(b)<<slotIdxBits | uint64(j)
+		}
+	}
 }
 
 // AccumulateProfile builds per-identity accumulators from a merged
@@ -339,60 +460,88 @@ func finalizeStruct(
 	}
 
 	// --- Stage 2b: fold every part's cells mod size — field and loop tables
-	fieldLat := make(map[uint64]uint64)
-	fieldSamples := make(map[uint64]uint64)
-	fieldWrites := make(map[uint64]uint64)
+	// Each cell is summed into one bucket per (region, field offset), one
+	// map operation per cell; the field, loop and affinity tables are then
+	// built from the buckets. Affinity (Equation 7) counts co-occurrence
+	// within a region: the cell's loop, or for an access outside every
+	// loop a per-instruction pseudo-region (bit 63 set, which no
+	// cfg.LoopKey has), so unrelated straight-line code does not fake
+	// co-occurrence.
+	type bucket struct {
+		region, off uint64
+		CellStat
+	}
+	bucketIdx := make(map[[2]uint64]int32)
+	var buckets []bucket
+	for _, acc := range ip.accs {
+		acc.eachCell(func(c *cell) {
+			region := c.key.LoopKey
+			if region == 0 {
+				region = c.key.IP | 1<<63
+			}
+			off := c.key.RawOff % size // Equation 6
+			k := [2]uint64{region, off}
+			bi, ok := bucketIdx[k]
+			if !ok {
+				bi = int32(len(buckets))
+				bucketIdx[k] = bi
+				buckets = append(buckets, bucket{region: region, off: off})
+			}
+			b := &buckets[bi]
+			b.Latency += c.Latency
+			b.Samples += c.Samples
+			b.Writes += c.Writes
+		})
+	}
+
+	fields := make(map[uint64]CellStat)
 	type loopAgg struct {
 		lat     uint64
 		offsets map[uint64]bool
 	}
 	loopTab := make(map[uint64]*loopAgg) // loop key (0 = outside)
 	ab := affinity.NewBuilder()
+	for i := range buckets {
+		b := &buckets[i]
+		f := fields[b.off]
+		f.Latency += b.Latency
+		f.Samples += b.Samples
+		f.Writes += b.Writes
+		fields[b.off] = f
 
-	for _, acc := range ip.accs {
-		for ck, i := range acc.cellIdx {
-			cs := &acc.cells[i]
-			off := ck.RawOff % size // Equation 6
-			fieldLat[off] += cs.Latency
-			fieldSamples[off] += cs.Samples
-			fieldWrites[off] += cs.Writes
-
-			la := loopTab[ck.LoopKey]
-			if la == nil {
-				la = &loopAgg{offsets: make(map[uint64]bool)}
-				loopTab[ck.LoopKey] = la
-			}
-			la.lat += cs.Latency
-			la.offsets[off] = true
-
-			// Affinity (Equation 7) counts co-occurrence within loops.
-			// Accesses outside any loop get a per-instruction pseudo-region
-			// so unrelated straight-line code does not fake co-occurrence.
-			affKey := ck.LoopKey
-			if affKey == 0 {
-				affKey = ck.IP | 1<<63
-			}
-			weight := cs.Latency
-			if opt.WeightByCount {
-				weight = cs.Samples
-			}
-			ab.Add(affKey, off, weight)
+		loop := b.region
+		if loop>>63 != 0 {
+			loop = 0
 		}
+		la := loopTab[loop]
+		if la == nil {
+			la = &loopAgg{offsets: make(map[uint64]bool)}
+			loopTab[loop] = la
+		}
+		la.lat += b.Latency
+		la.offsets[b.off] = true
+
+		weight := b.Latency
+		if opt.WeightByCount {
+			weight = b.Samples
+		}
+		ab.Add(b.region, b.off, weight)
 	}
 
 	// Field table (Table 5).
-	offsets := make([]uint64, 0, len(fieldLat))
-	for off := range fieldLat {
+	offsets := make([]uint64, 0, len(fields))
+	for off := range fields {
 		offsets = append(offsets, off)
 	}
 	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
 	for _, off := range offsets {
+		f := fields[off]
 		fr := FieldReport{
 			Offset:     off,
 			Name:       sr.fieldName(off),
-			LatencySum: fieldLat[off],
-			Samples:    fieldSamples[off],
-			Writes:     fieldWrites[off],
+			LatencySum: f.Latency,
+			Samples:    f.Samples,
+			Writes:     f.Writes,
 		}
 		if ip.latency > 0 {
 			fr.Share = float64(fr.LatencySum) / float64(ip.latency)

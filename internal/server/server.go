@@ -29,10 +29,11 @@ import (
 // Config tunes the ingest server.
 type Config struct {
 	// QueueDepth is the per-session batch queue bound; a full queue
-	// rejects the POST with 429 + Retry-After. Default 64.
+	// rejects the POST with 429 + Retry-After. Zero or negative selects
+	// the default, 64.
 	QueueDepth int
-	// RetryAfter is the Retry-After value (seconds) sent with 429.
-	// Default 1.
+	// RetryAfter is the Retry-After value (seconds) sent with 429. Zero
+	// or negative selects the default, 1.
 	RetryAfter int
 	// IngestDelay, when non-nil, runs before every batch ingest — a test
 	// hook to provoke backpressure deterministically.
@@ -50,10 +51,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth == 0 {
+	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.RetryAfter == 0 {
+	if c.RetryAfter <= 0 {
 		c.RetryAfter = 1
 	}
 	return c
@@ -410,11 +411,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	b.WriteString("# HELP structslim_queue_depth Batches waiting in a session's queue.\n# TYPE structslim_queue_depth gauge\n")
 	b.WriteString("# HELP structslim_session_lag_cycles Simulated-cycle lag behind the most recent session.\n# TYPE structslim_session_lag_cycles gauge\n")
+	b.WriteString("# HELP structslim_session_cells Accumulation cells a session holds, one per distinct (identity, loop, IP, raw offset).\n# TYPE structslim_session_cells gauge\n")
 	b.WriteString("# HELP structslim_evicted_streams_total Stream-state LRU evictions.\n# TYPE structslim_evicted_streams_total counter\n")
 	b.WriteString("# HELP structslim_evicted_identities_total Identity-accumulator LRU evictions.\n# TYPE structslim_evicted_identities_total counter\n")
 	for _, si := range infos {
 		fmt.Fprintf(&b, "structslim_queue_depth{session=%q} %d\n", si.ID, depths[si.ID])
 		fmt.Fprintf(&b, "structslim_session_lag_cycles{session=%q} %d\n", si.ID, maxCycle-si.LastCycle)
+		fmt.Fprintf(&b, "structslim_session_cells{session=%q} %d\n", si.ID, si.Cells)
 		fmt.Fprintf(&b, "structslim_evicted_streams_total{session=%q} %d\n", si.ID, si.EvictedStreams)
 		fmt.Fprintf(&b, "structslim_evicted_identities_total{session=%q} %d\n", si.ID, si.EvictedIdentities)
 	}

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/profile"
@@ -271,6 +273,140 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("analyzer saw %v", infos)
 	}
 	srv.Drain()
+}
+
+// TestNonPositiveQueueDepth: a zero or negative queue depth or
+// Retry-After selects the default. A negative depth once panicked in the
+// first POST with the server lock held, which wedged every later POST,
+// flush and metrics read; each request here must answer within the
+// client's deadline.
+func TestNonPositiveQueueDepth(t *testing.T) {
+	an, err := stream.New(nil, stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(an, server.Config{QueueDepth: -1, RetryAfter: -1})
+	// No deferred Close or Drain: on a wedged server both would block on
+	// the stuck handlers, turning a failure into a hang.
+	ts := httptest.NewServer(srv.Handler())
+	client := &http.Client{Timeout: 10 * time.Second}
+	expect := func(what string, want int, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s: %d, want %d", what, resp.StatusCode, want)
+		}
+	}
+
+	for seq := uint64(0); seq < 2; seq++ {
+		var buf bytes.Buffer
+		b := stream.Batch{
+			Session: "s", Period: 1000, Seq: seq,
+			Objects: []profile.ObjInfo{{ID: 0, Name: "o", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1}},
+			Samples: []profile.Sample{{IP: 0x400, EA: 0x1000 + 8*seq, Latency: 10, ObjID: 0}},
+		}
+		if err := server.EncodeBatches(&buf, server.ContentTypeBinary, []stream.Batch{b}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/v1/samples", server.ContentTypeBinary, &buf)
+		expect(fmt.Sprintf("POST %d", seq), http.StatusAccepted, resp, err)
+	}
+	resp, err := client.Post(ts.URL+"/v1/flush", "", nil)
+	expect("POST /v1/flush", http.StatusNoContent, resp, err)
+	resp, err = client.Get(ts.URL + "/metrics")
+	expect("GET /metrics", http.StatusOK, resp, err)
+	if infos := an.Sessions(); len(infos) != 1 || infos[0].NumSamples != 2 {
+		t.Fatalf("analyzer saw %+v, want one session of 2 samples", infos)
+	}
+	ts.Close()
+	srv.Drain()
+}
+
+// TestSessionCellsMetric: the per-session cell gauges sum to the
+// distinct (identity, IP, raw element offset) keys each session was
+// pushed — one accumulation cell per key, since an IP has one loop.
+// health runs four threads, so four sessions report.
+func TestSessionCellsMetric(t *testing.T) {
+	w, err := workloads.Get("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, phases, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := structslim.ProfileRun(p, phases, testOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := stream.New(p, stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(an, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	bs := batchesOf(res, 64)
+	resp := postBatches(t, ts, server.ContentTypeBinary, bs)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/samples: %d", resp.StatusCode)
+	}
+	srv.Flush()
+
+	type cellKey struct {
+		session           string
+		identity, ip, off uint64
+	}
+	want := make(map[cellKey]bool)
+	objs := make(map[string]map[int32]profile.ObjInfo)
+	for _, b := range bs {
+		if objs[b.Session] == nil {
+			objs[b.Session] = make(map[int32]profile.ObjInfo)
+		}
+		for _, o := range b.Objects {
+			objs[b.Session][o.ID] = o
+		}
+		for _, s := range b.Samples {
+			if o, ok := objs[b.Session][s.ObjID]; ok && s.ObjID >= 0 {
+				want[cellKey{b.Session, o.Identity, s.IP, s.EA - o.Base}] = true
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("pushed no attributed samples")
+	}
+
+	code, body := get(t, ts, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", code)
+	}
+	gauges, sum := 0, 0
+	for _, line := range strings.Split(string(body), "\n") {
+		v, ok := strings.CutPrefix(line, "structslim_session_cells{")
+		if !ok {
+			continue
+		}
+		_, num, _ := strings.Cut(v, "} ")
+		n, err := strconv.Atoi(num)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		gauges++
+		sum += n
+	}
+	if gauges != len(res.ThreadProfiles) {
+		t.Errorf("%d structslim_session_cells gauges, want one per session (%d)", gauges, len(res.ThreadProfiles))
+	}
+	if sum != len(want) {
+		t.Errorf("structslim_session_cells sums to %d, want %d distinct keys", sum, len(want))
+	}
 }
 
 // TestDrain verifies the graceful-drain contract: queued batches are

@@ -81,79 +81,92 @@ func renderBytes(t *testing.T, rep *core.Report) []byte {
 // the batch pipeline. The shard dimension is the acceptance gate for the
 // session-partitioned analyzer: partitioning the session directory may
 // not change a single byte at any shard count.
+//
+// At period 3000 no session holds more than a few hundred samples, so
+// none reaches a full-size cell block or fills its first sample block.
+// One more case profiles health at period 12: its four sessions hold 12k
+// to 51k cells and 18k to 56k samples each, many blocks and table
+// growths.
 func TestStreamingMatchesBatch(t *testing.T) {
-	shardCounts := []int{1, 4, 16}
-	sizes := []int{1, 17, 512}
 	for _, name := range workloads.PaperOrder {
 		t.Run(name, func(t *testing.T) {
-			w, err := workloads.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, phases, err := w.Build(nil, workloads.ScaleTest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := structslim.ProfileRun(p, phases, diffOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchRep, err := core.Analyze(res.Profile, p, diffOpt.Analysis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := renderBytes(t, batchRep)
-
-			for _, shards := range shardCounts {
-				for _, bs := range sizes {
-					t.Run(fmt.Sprintf("shards%d/batch%d", shards, bs), func(t *testing.T) {
-						a, err := stream.New(p, stream.Config{Shards: shards})
-						if err != nil {
-							t.Fatal(err)
-						}
-						feed(t, a, res, "p0", bs)
-
-						// Snapshot materialization is the expensive check;
-						// one batch size per shard count covers it (the
-						// online state it reads is batching-insensitive,
-						// which the report checks below prove per size).
-						if bs == 17 {
-							snap, err := a.Snapshot()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(snap, res.Profile) {
-								t.Error("snapshot differs from batch merged profile")
-							}
-							snapRep, err := core.Analyze(snap, p, diffOpt.Analysis)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got := renderBytes(t, snapRep); !bytes.Equal(got, want) {
-								t.Error("snapshot-analyzed report differs from batch report")
-							}
-						}
-
-						onlineRep, err := a.Report()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := renderBytes(t, onlineRep); !bytes.Equal(got, want) {
-							t.Errorf("online report differs from batch report\n--- online ---\n%s\n--- batch ---\n%s", got, want)
-						}
-					})
-				}
-			}
+			checkStreamingMatchesBatch(t, name, diffOpt, []int{1, 4, 16}, []int{1, 17, 512}, 17)
 		})
+	}
+	t.Run("health-period12", func(t *testing.T) {
+		opt := structslim.Options{SamplePeriod: 12, Seed: 7}
+		checkStreamingMatchesBatch(t, "health", opt, []int{1, 8}, []int{512}, 512)
+	})
+}
+
+// checkStreamingMatchesBatch profiles one workload and feeds its sample
+// streams to an analyzer at every shard count and batch size. Snapshot
+// materialization is the expensive check; it runs at one batch size,
+// snapshotBatch (the online state it reads is batching-insensitive,
+// which the report checks prove per size).
+func checkStreamingMatchesBatch(t *testing.T, name string, opt structslim.Options, shardCounts, sizes []int, snapshotBatch int) {
+	w, err := workloads.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, phases, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := structslim.ProfileRun(p, phases, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchRep, err := core.Analyze(res.Profile, p, opt.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderBytes(t, batchRep)
+
+	for _, shards := range shardCounts {
+		for _, bs := range sizes {
+			t.Run(fmt.Sprintf("shards%d/batch%d", shards, bs), func(t *testing.T) {
+				a, err := stream.New(p, stream.Config{Shards: shards, Analysis: opt.Analysis})
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed(t, a, res, "p0", bs)
+
+				if bs == snapshotBatch {
+					snap, err := a.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(snap, res.Profile) {
+						t.Error("snapshot differs from batch merged profile")
+					}
+					snapRep, err := core.Analyze(snap, p, opt.Analysis)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := renderBytes(t, snapRep); !bytes.Equal(got, want) {
+						t.Error("snapshot-analyzed report differs from batch report")
+					}
+				}
+
+				onlineRep, err := a.Report()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := renderBytes(t, onlineRep); !bytes.Equal(got, want) {
+					t.Errorf("online report differs from batch report\n--- online ---\n%s\n--- batch ---\n%s", got, want)
+				}
+			})
+		}
 	}
 }
 
 // TestStreamingShardedConcurrent ingests every session from its own
 // goroutine into a sharded analyzer — the server's actual concurrency
-// shape — while one reader loops over Report, Live and Snapshot, and
-// requires the final report to stay byte-identical. Every report read
-// during ingest must be one consistent cut: each structure with a known
-// size has field latencies summing to its own. Run under -race (CI's
+// shape — while one reader loops over Report, Live, Sessions and
+// Snapshot, and requires the final report to stay byte-identical. Every
+// report read during ingest must be one consistent cut: each structure
+// with a known size has field latencies summing to its own. Run under -race (CI's
 // stream job) this also proves the sharded hot path and the in-place
 // report fold are data-race-free, not merely deterministic.
 func TestStreamingShardedConcurrent(t *testing.T) {
@@ -284,6 +297,7 @@ func readDuringIngest(t *testing.T, a *stream.Analyzer) {
 		}
 	}
 	a.Live(0)
+	a.Sessions()
 	_, err = a.Snapshot()
 	ok("Snapshot", err)
 }

@@ -30,11 +30,16 @@
 // stream per (IP, context, identity) and one accumulation cell per
 // (loop, IP, raw element offset), so a dense or irregular profile holds
 // nearly as many cells as samples (health at period 12: 87,458 cells for
-// 109,254 samples). LRU eviction bounds the streams (MaxStreams) and the
-// identities (MaxIdentities; an evicted identity's cells go with it), but
-// nothing bounds the cells of an identity that stays tracked. Eviction
-// makes the analysis approximate (evicted state restarts from scratch if
-// its key recurs) and is reported via counters.
+// 109,254 samples). Each cell is written once into a block that never
+// moves and found through a table of hash tags (core.IdentityAccum), and
+// a report sums the cells into one bucket per (region, field offset)
+// before it builds its tables. Retained samples, unless DropSamples is
+// set, are copied a batch at a time into blocks that never move either.
+// LRU eviction bounds the streams (MaxStreams) and the identities
+// (MaxIdentities; an evicted identity's cells go with it), but nothing
+// bounds the cells of an identity that stays tracked; SessionInfo.Cells
+// counts them. Eviction makes the analysis approximate (evicted state
+// starts over empty if its key recurs) and is reported via counters.
 package stream
 
 import (
@@ -179,15 +184,22 @@ type session struct {
 	tid     int32
 	period  uint64
 
-	mu      sync.Mutex
-	samples []profile.Sample
+	mu sync.Mutex
+	// sampleBlocks retains the raw samples (unless Config.DropSamples) in
+	// blocks that never move, filled by one copy per batch; each new block
+	// doubles from firstSampleBlock up to maxSampleBlock, so a small
+	// session stays small and a retained sample is not copied again as
+	// the session grows.
+	sampleBlocks [][]profile.Sample
 
-	streams    map[profile.StreamKey]*streamEntry
-	lruHead    *streamEntry // most recently updated
-	lruTail    *streamEntry // eviction candidate
-	lastKey    profile.StreamKey
-	lastEnt    *streamEntry
-	accums     map[uint64]*core.IdentityAccum
+	streams map[profile.StreamKey]*streamEntry
+	lruHead *streamEntry // most recently updated
+	lruTail *streamEntry // eviction candidate
+	lastKey profile.StreamKey
+	lastEnt *streamEntry
+	accums  map[uint64]*core.IdentityAccum
+	// identTouch and clock rank identities for evictColdestIdentity; they
+	// are kept only when Config.MaxIdentities bounds the identities.
 	identTouch map[uint64]uint64
 	clock      uint64
 
@@ -234,6 +246,9 @@ func (a *Analyzer) Ingest(b Batch) error {
 			cp := oi
 			s.objByID[oi.ID] = &cp
 		}
+	}
+	if !a.conf.DropSamples {
+		s.retain(b.Samples)
 	}
 	for i := range b.Samples {
 		a.addSample(s, &b.Samples[i])
@@ -291,9 +306,6 @@ func (a *Analyzer) getSession(b *Batch) (*session, error) {
 // updates) so a session's stream state is indistinguishable from the
 // per-thread profiler's.
 func (a *Analyzer) addSample(s *session, sm *profile.Sample) {
-	if !a.conf.DropSamples {
-		s.samples = append(s.samples, *sm)
-	}
 	s.numSamples++
 	s.totalLatency += uint64(sm.Latency)
 	if sm.Cycle > s.lastCycle {
@@ -334,9 +346,37 @@ func (a *Analyzer) addSample(s *session, sm *profile.Sample) {
 				s.evictColdestIdentity(identity)
 			}
 		}
-		s.clock++
-		s.identTouch[identity] = s.clock
+		if a.conf.MaxIdentities > 0 {
+			s.clock++
+			s.identTouch[identity] = s.clock
+		}
 		acc.AddSample(sm, obj, a.loops)
+	}
+}
+
+const (
+	firstSampleBlock = 512
+	maxSampleBlock   = 8192
+)
+
+// retain appends a batch's samples to the session's sample blocks,
+// copying into the last block's spare capacity and opening new blocks as
+// needed; caller holds s.mu.
+func (s *session) retain(samples []profile.Sample) {
+	for len(samples) > 0 {
+		n := len(s.sampleBlocks)
+		if n == 0 || len(s.sampleBlocks[n-1]) == cap(s.sampleBlocks[n-1]) {
+			size := firstSampleBlock
+			if n > 0 {
+				size = min(2*cap(s.sampleBlocks[n-1]), maxSampleBlock)
+			}
+			s.sampleBlocks = append(s.sampleBlocks, make([]profile.Sample, 0, size))
+			n++
+		}
+		blk := &s.sampleBlocks[n-1]
+		k := min(cap(*blk)-len(*blk), len(samples))
+		*blk = append(*blk, samples[:k]...)
+		samples = samples[k:]
 	}
 }
 
@@ -440,7 +480,12 @@ func (a *Analyzer) sortedSessions() []*session {
 // holds s.mu.
 func (s *session) threadProfile() *profile.ThreadProfile {
 	tp := profile.NewThreadProfile(int(s.tid), s.period)
-	tp.Samples = append([]profile.Sample(nil), s.samples...)
+	if len(s.sampleBlocks) > 0 {
+		tp.Samples = make([]profile.Sample, 0, s.numSamples)
+		for _, blk := range s.sampleBlocks {
+			tp.Samples = append(tp.Samples, blk...)
+		}
+	}
 	for k, e := range s.streams {
 		cp := e.stat
 		tp.Streams[k] = &cp
@@ -615,8 +660,12 @@ type SessionInfo struct {
 	NumSamples uint64
 	LastCycle  uint64
 
-	Streams           int
-	Identities        int
+	Streams    int
+	Identities int
+	// Cells counts the session's accumulation cells, one per distinct
+	// (identity, loop, IP, raw element offset) it has seen: the online
+	// state that grows with the profile.
+	Cells             int
 	EvictedStreams    uint64
 	EvictedIdentities uint64
 }
@@ -627,6 +676,10 @@ func (a *Analyzer) Sessions() []SessionInfo {
 	out := make([]SessionInfo, 0, len(sessions))
 	for _, s := range sessions {
 		s.mu.Lock()
+		cells := 0
+		for _, acc := range s.accums {
+			cells += acc.NumCells()
+		}
 		out = append(out, SessionInfo{
 			ID:                s.id,
 			Process:           s.process,
@@ -637,6 +690,7 @@ func (a *Analyzer) Sessions() []SessionInfo {
 			LastCycle:         s.lastCycle,
 			Streams:           len(s.streams),
 			Identities:        len(s.accums),
+			Cells:             cells,
 			EvictedStreams:    s.evictedStreams,
 			EvictedIdentities: s.evictedIdentities,
 		})
