@@ -171,30 +171,15 @@ func vetOne(w workloads.Workload, sc workloads.Scale, period, seed uint64, stati
 // verifyReuse runs the workload once more with the trace checker attached
 // (no sampler, prefetch off) and returns the static-vs-dynamic report.
 func verifyReuse(p *prog.Program, phases []structslim.Phase, rp *staticlint.ReusePrediction, cfg cache.Config) (*staticlint.ReuseReport, error) {
-	cores := 1
-	for _, ph := range phases {
-		for _, ts := range ph {
-			if ts.Core+1 > cores {
-				cores = ts.Core + 1
-			}
-		}
-	}
-	m, err := vm.NewMachine(p, cfg, cores, vm.Config{})
+	m, err := vm.NewMachine(p, cfg, vm.CoresFor(phases), vm.Config{})
 	if err != nil {
 		return nil, err
 	}
 	tc := staticlint.NewTraceChecker(rp)
 	m.Observer = tc
-	if len(phases) == 0 {
-		phases = []structslim.Phase{{vm.ThreadSpec{Fn: p.EntryFn}}}
-	}
-	var last vm.Stats
-	for _, ph := range phases {
-		st, err := m.Run(ph)
-		if err != nil {
-			return nil, err
-		}
-		last = st
+	last, err := m.RunAll(phases)
+	if err != nil {
+		return nil, err
 	}
 	return tc.Finish(last), nil
 }

@@ -8,6 +8,10 @@
 // machine code. Loops are reported with the synthetic source-line ranges
 // of their member instructions, which is how StructSlim presents "the hot
 // loop at line 615-616" style findings.
+//
+// Solve is the forward dataflow fixpoint the static analyses share:
+// staticlint, sharing and legality each supply a value domain and
+// transfer function and run it over the same Graph.
 package cfg
 
 import (
@@ -108,10 +112,8 @@ func (g *Graph) Dominators() []int {
 	return idom
 }
 
-// ReversePostorder returns the reachable blocks in reverse postorder —
-// the canonical deterministic sweep order for forward dataflow fixpoints
-// (staticlint's affine pass and legality's provenance pass both iterate
-// in it so their results are byte-stable across runs).
+// ReversePostorder returns the reachable blocks in reverse postorder, the
+// order Solve sweeps them in.
 func (g *Graph) ReversePostorder() []int {
 	order, _ := g.reversePostorder()
 	return order

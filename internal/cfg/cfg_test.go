@@ -9,12 +9,13 @@ import (
 
 // rawFunc assembles a function from (terminator, target) pairs so tests
 // can build arbitrary — including irreducible — CFG shapes. Each block
-// gets one Nop plus the terminator; term "fall" means no terminator
-// (fallthrough), "br" a conditional branch, "jmp" unconditional, "halt"
-// ends.
+// gets one Nop, its body, then the terminator; term "fall" means no
+// terminator (fallthrough), "br" a conditional branch, "jmp"
+// unconditional, "halt" ends.
 type rawBlock struct {
 	term   string
 	target int
+	body   []isa.Instr
 }
 
 func rawProgram(t *testing.T, blocks []rawBlock) *prog.Program {
@@ -23,6 +24,7 @@ func rawProgram(t *testing.T, blocks []rawBlock) *prog.Program {
 	for i, rb := range blocks {
 		blk := &prog.Block{ID: i}
 		blk.Instrs = append(blk.Instrs, isa.Instr{Op: isa.Nop, Line: int32(10 * (i + 1))})
+		blk.Instrs = append(blk.Instrs, rb.body...)
 		switch rb.term {
 		case "fall":
 			// Validity: only legal for non-last blocks; tests ensure that.

@@ -182,6 +182,34 @@ func (c Cond) Eval(a, b int64) bool {
 	return false
 }
 
+// FoldALU evaluates Div, Rem, And, Or, Xor or Shr on two register values
+// with the interpreter's semantics: division and remainder by zero yield
+// 0, and Shr shifts arithmetically by the count mod 64. The static
+// analyses fold constants with it; any other op yields 0.
+func FoldALU(op Op, a, b int64) int64 {
+	switch op {
+	case Div:
+		if b == 0 {
+			return 0
+		}
+		return a / b
+	case Rem:
+		if b == 0 {
+			return 0
+		}
+		return a % b
+	case And:
+		return a & b
+	case Or:
+		return a | b
+	case Xor:
+		return a ^ b
+	case Shr:
+		return a >> (uint64(b) & 63)
+	}
+	return 0
+}
+
 // Instr is one machine instruction. The fields used depend on Op; unused
 // fields are zero. The flat one-struct encoding keeps the interpreter's
 // dispatch loop free of type switches.

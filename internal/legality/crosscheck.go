@@ -234,15 +234,7 @@ func (ob *Observer) Report() *Report {
 // under the checking observer and returns the report. The machine runs
 // the full cache model with every access delivered to the observer.
 func CrossCheck(a *Analysis, cacheCfg cache.Config, phases [][]vm.ThreadSpec) (*Report, error) {
-	cores := 1
-	for _, ph := range phases {
-		for _, ts := range ph {
-			if ts.Core+1 > cores {
-				cores = ts.Core + 1
-			}
-		}
-	}
-	m, err := vm.NewMachine(a.Program, cacheCfg, cores, vm.DefaultConfig())
+	m, err := vm.NewMachine(a.Program, cacheCfg, vm.CoresFor(phases), vm.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -6,12 +6,13 @@ package legality
 // across functions (phase entry points are not reachable from main, so
 // memory is the only channel between them — modelling it order-free is
 // sound), and return-value propagation across calls. The engine sweeps
-// functions in id order and blocks in reverse postorder so the result is
-// deterministic; a sweep budget bounds pathological programs, and budget
-// exhaustion demotes honestly (every record object freezes).
+// functions in id order, each to its own fixpoint under cfg.Solve, until
+// memory and return values stop changing; both fixpoints are bounded,
+// and budget exhaustion demotes honestly (every record object freezes).
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -21,12 +22,9 @@ import (
 	"repro/internal/staticlint"
 )
 
-const (
-	// maxBlockSweeps bounds the per-function inner fixpoint.
-	maxBlockSweeps = 200
-	// maxProgramSweeps bounds the whole-program outer fixpoint.
-	maxProgramSweeps = 40
-)
+// maxProgramSweeps bounds the whole-program outer fixpoint; cfg.Solve
+// bounds each per-function inner one.
+const maxProgramSweeps = 40
 
 // resid is one attributed footprint contribution: the access started at
 // byte offset c + m·Z from the object base (m == 0: exactly c).
@@ -232,47 +230,11 @@ func newEntryState() state {
 	return st
 }
 
-func (st state) clone() state {
-	c := make(state, len(st))
-	copy(c, st)
-	return c
-}
-
-func (st state) equal(o state) bool {
-	for i := range st {
-		if !st[i].equal(o[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func (st state) set(r isa.Reg, v value) {
 	if r == isa.RZ {
 		return
 	}
 	st[r] = v
-}
-
-// joinInto joins o into st, reporting change.
-func (st state) joinInto(o state) bool {
-	changed := false
-	for i := range st {
-		j := join(st[i], o[i])
-		if !j.equal(st[i]) {
-			st[i] = j
-			changed = true
-		}
-	}
-	return changed
-}
-
-// funcFlow caches per-function converged block in-states for the collect
-// pass.
-type funcFlow struct {
-	g   *cfg.Graph
-	rpo []int
-	ins []state // indexed by block id; nil = unreachable
 }
 
 // analyzer runs the whole-program fixpoint.
@@ -281,10 +243,10 @@ type analyzer struct {
 	sa *staticlint.Analysis
 	a  *Analysis
 
-	mem   *memEnv
-	rets  []value
-	seen  []bool // rets[fn] valid
-	flows []*funcFlow
+	mem    *memEnv
+	rets   []value
+	seen   []bool // rets[fn] valid
+	graphs []*cfg.Graph
 
 	globalBase []uint64
 	dirty      bool // outer-fixpoint change flag
@@ -300,7 +262,7 @@ func newAnalyzer(p *prog.Program, sa *staticlint.Analysis, a *Analysis) *analyze
 		mem:        newMemEnv(),
 		rets:       make([]value, len(p.Funcs)),
 		seen:       make([]bool, len(p.Funcs)),
-		flows:      make([]*funcFlow, len(p.Funcs)),
+		graphs:     make([]*cfg.Graph, len(p.Funcs)),
 		globalBase: staticlint.GlobalBases(p),
 	}
 }
@@ -308,8 +270,7 @@ func newAnalyzer(p *prog.Program, sa *staticlint.Analysis, a *Analysis) *analyze
 // solve runs the outer fixpoint and the collect pass.
 func (az *analyzer) solve() *collector {
 	for _, f := range az.p.Funcs {
-		g := cfg.Build(f)
-		az.flows[f.ID] = &funcFlow{g: g, rpo: g.ReversePostorder()}
+		az.graphs[f.ID] = cfg.Build(f)
 	}
 	converged := false
 	for sweep := 0; sweep < maxProgramSweeps; sweep++ {
@@ -336,65 +297,27 @@ func (az *analyzer) solve() *collector {
 	return col
 }
 
-// runFunc runs the per-function inner fixpoint. With col set it instead
-// performs one attribution sweep over the converged in-states (re-running
-// the fixpoint first so they reflect the final memory environment).
+// runFunc runs the per-function inner fixpoint. With col set it then
+// performs one attribution sweep over the converged in-states (the
+// fixpoint re-runs first so they reflect the final memory environment).
 func (az *analyzer) runFunc(f *prog.Func, col *collector) {
-	ff := az.flows[f.ID]
-	n := len(f.Blocks)
-	if ff.ins == nil {
-		ff.ins = make([]state, n)
+	ins, ok := cfg.Solve(az.graphs[f.ID], cfg.Flow[value]{
+		Entry:    newEntryState(),
+		Join:     join,
+		Equal:    value.equal,
+		Transfer: func(in *isa.Instr, st []value) { az.transfer(f.ID, in, st, nil) },
+	})
+	if !ok {
+		az.noteBudget(f)
 	}
-	outs := make([]state, n)
-	entry := newEntryState()
-
-	for sweep := 0; ; sweep++ {
-		if sweep >= maxBlockSweeps {
-			az.noteBudget(f)
-			break
-		}
-		changed := false
-		for _, b := range ff.rpo {
-			in := state(nil)
-			if b == ff.rpo[0] {
-				in = entry.clone()
-			}
-			for _, p := range ff.g.Preds[b] {
-				if outs[p] == nil {
-					continue
-				}
-				if in == nil {
-					in = outs[p].clone()
-				} else {
-					in.joinInto(outs[p])
-				}
-			}
-			if in == nil {
-				continue
-			}
-			ff.ins[b] = in
-			st := in.clone()
-			for i := range f.Blocks[b].Instrs {
-				az.transfer(f.ID, &f.Blocks[b].Instrs[i], st, nil)
-			}
-			if outs[b] == nil || !outs[b].equal(st) {
-				outs[b] = st
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
 	if col == nil {
 		return
 	}
-	for _, b := range ff.rpo {
-		if ff.ins[b] == nil {
-			continue
+	for b, in := range ins {
+		if in == nil {
+			continue // unreachable
 		}
-		st := ff.ins[b].clone()
+		st := slices.Clone(in)
 		for i := range f.Blocks[b].Instrs {
 			az.transfer(f.ID, &f.Blocks[b].Instrs[i], st, col)
 		}
@@ -402,7 +325,7 @@ func (az *analyzer) runFunc(f *prog.Func, col *collector) {
 }
 
 func (az *analyzer) noteBudget(f *prog.Func) {
-	msg := fmt.Sprintf("dataflow in %s did not converge in %d sweeps", f.Name, maxBlockSweeps)
+	msg := fmt.Sprintf("dataflow in %s did not converge in %d sweeps", f.Name, cfg.MaxSweeps)
 	for _, r := range az.demotions {
 		if r.Msg == msg {
 			return

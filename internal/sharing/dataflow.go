@@ -169,14 +169,9 @@ type streamFact struct {
 	ea    av
 }
 
-// sweepBudget caps the per-function fixpoint iteration, like
-// staticlint's maxSweeps. The av lattice has height 4 per register, so
-// real programs converge in a handful of sweeps.
-const sweepBudget = 64
-
 // roleStreams analyzes the role's root function plus everything it can
 // call and returns one fact per memory access. converged is false when
-// any function blew the sweep budget.
+// any function's fixpoint ran out of sweeps (cfg.MaxSweeps).
 func roleStreams(p *prog.Program, role *Role) (facts []streamFact, converged bool) {
 	role.FnName = p.Funcs[role.Fn].Name
 	converged = true
@@ -254,75 +249,25 @@ func calleeEntry() []av {
 }
 
 // fnFlow is the converged dataflow of one function under one entry
-// state.
+// state. in[b] is nil when block b is unreachable.
 type fnFlow struct {
 	p  *prog.Program
 	f  *prog.Func
 	in [][]av
 }
 
-// solveFn iterates the dataflow to a fixpoint over the function's CFG.
+// solveFn runs the dataflow to a fixpoint over the function's CFG.
 func solveFn(p *prog.Program, f *prog.Func, entry []av) (*fnFlow, bool) {
-	g := cfg.Build(f)
-	n := len(f.Blocks)
-	ff := &fnFlow{p: p, f: f, in: make([][]av, n)}
-	for b := range ff.in {
-		ff.in[b] = make([]av, isa.NumRegs)
-		for r := range ff.in[b] {
-			ff.in[b][r] = avBottom()
-		}
+	in, ok := cfg.Solve(cfg.Build(f), cfg.Flow[av]{
+		Entry:    entry,
+		Join:     avJoin,
+		Equal:    func(a, b av) bool { return a == b },
+		Transfer: transfer,
+	})
+	if !ok {
+		return nil, false
 	}
-	ff.in[0] = append([]av(nil), entry...)
-
-	out := make([][]av, n)
-	for sweep := 0; sweep < sweepBudget; sweep++ {
-		changed := false
-		for b := 0; b < n; b++ {
-			st := make([]av, isa.NumRegs)
-			for r := range st {
-				st[r] = avBottom()
-			}
-			for _, pb := range g.Preds[b] {
-				if out[pb] == nil {
-					continue
-				}
-				for r := range st {
-					st[r] = avJoin(st[r], out[pb][r])
-				}
-			}
-			if b == 0 {
-				for r := range st {
-					st[r] = avJoin(st[r], entry[r])
-				}
-			}
-			if !avStatesEqual(ff.in[b], st) {
-				ff.in[b] = st
-				changed = true
-			}
-			out[b] = transferBlock(f.Blocks[b], st)
-		}
-		if !changed {
-			return ff, true
-		}
-	}
-	return nil, false
-}
-
-func avStatesEqual(a, b []av) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func transferBlock(blk *prog.Block, in []av) []av {
-	st := append([]av(nil), in...)
-	for i := range blk.Instrs {
-		transfer(&blk.Instrs[i], st)
-	}
-	return st
+	return &fnFlow{p: p, f: f, in: in}, true
 }
 
 func transfer(in *isa.Instr, st []av) {
@@ -369,7 +314,7 @@ func transfer(in *isa.Instr, st []av) {
 	case isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shr:
 		a, b := val(in.Rs1), val(in.Rs2)
 		if a.isConst() && b.isConst() {
-			set(in.Rd, avConst(foldALU(in.Op, a.c, b.c)))
+			set(in.Rd, avConst(isa.FoldALU(in.Op, a.c, b.c)))
 		} else {
 			set(in.Rd, avTopV())
 		}
@@ -380,31 +325,6 @@ func transfer(in *isa.Instr, st []av) {
 	case isa.Call:
 		set(isa.RetReg, avTopV())
 	}
-}
-
-// foldALU matches the interpreter's semantics (division by zero is 0).
-func foldALU(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.Rem:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.Shr:
-		return a >> (uint64(b) & 63)
-	}
-	return 0
 }
 
 // streamFacts extracts the abstract effective address of every memory
@@ -418,7 +338,8 @@ func (ff *fnFlow) streamFacts() []streamFact {
 		return st[r]
 	}
 	for b, blk := range ff.f.Blocks {
-		st := append([]av(nil), ff.in[b]...)
+		st := make([]av, isa.NumRegs) // unreachable blocks stay ⊥
+		copy(st, ff.in[b])
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
 			if in.Op.IsMemAccess() {

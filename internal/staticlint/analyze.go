@@ -121,11 +121,6 @@ type basicIV struct {
 	step int64
 }
 
-// maxSweeps bounds the fixpoint iteration per function. The lattice has
-// small finite height, so convergence is quick; the cap is a safety net
-// for pathological CFGs, after which the function is left unanalyzed.
-const maxSweeps = 64
-
 // AnalyzeProgram runs the static stride and layout analysis over a
 // finalized program. It never executes the program.
 func AnalyzeProgram(p *prog.Program) (*Analysis, error) {
@@ -167,7 +162,8 @@ type funcAnalysis struct {
 	// reducible loops get entries.
 	ivsOf [][]basicIV
 
-	// in[b] is the converged register state at entry of block b.
+	// in[b] is the converged register state at entry of block b (⊥
+	// everywhere when b is unreachable).
 	in        [][]expr
 	converged bool
 
@@ -324,95 +320,37 @@ func entryState() []expr {
 	return st
 }
 
-// solve iterates the dataflow to a fixpoint. Returns false when the sweep
+// solve runs the dataflow to a fixpoint. Returns false when the sweep
 // budget ran out (the function is then reported unanalyzed).
 func (fa *funcAnalysis) solve() bool {
-	n := len(fa.f.Blocks)
-	fa.in = make([][]expr, n)
+	fa.in, fa.converged = cfg.Solve(fa.g, cfg.Flow[expr]{
+		Entry:    entryState(),
+		Join:     join,
+		Equal:    expr.equal,
+		Transfer: fa.transfer,
+		Refine:   fa.atHeader,
+	})
 	for b := range fa.in {
-		fa.in[b] = make([]expr, isa.NumRegs)
-		for r := range fa.in[b] {
-			fa.in[b][r] = bottom()
+		if fa.in[b] == nil {
+			fa.in[b] = make([]expr, isa.NumRegs) // unreachable: ⊥ everywhere
 		}
 	}
-	fa.in[0] = entryState()
-
-	out := make([][]expr, n)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		changed := false
-		for b := 0; b < n; b++ {
-			st := fa.blockIn2(b, out)
-			if !statesEqual(fa.in[b], st) {
-				fa.in[b] = st
-				changed = true
-			}
-			out[b] = fa.transferBlock(b, st)
-		}
-		if !changed {
-			fa.converged = true
-			return true
-		}
-	}
-	return false
+	return fa.converged
 }
 
-// blockIn2 computes the in-state of block b from predecessor out-states,
-// applying the loop-header rules: pinned induction variables and the
+// atHeader applies the loop-header rules to the joined in-state of a
+// reducible loop header: it pins the induction variables and applies the
 // demotions that keep loop-counter symbols sound.
-func (fa *funcAnalysis) blockIn2(b int, out [][]expr) []expr {
-	if b == 0 && len(fa.g.Preds[0]) == 0 {
-		return entryState()
-	}
+func (fa *funcAnalysis) atHeader(b int, st []expr, joinFrom func(keep func(p int) bool) []expr) {
 	lid := fa.headerLoop(b)
-	reducibleHdr := lid >= 0 && !fa.forest.Loops[lid].Irreducible
-
-	join2 := func(preds []int) []expr {
-		st := make([]expr, isa.NumRegs)
-		for r := range st {
-			st[r] = bottom()
-		}
-		for _, p := range preds {
-			if out[p] == nil {
-				continue
-			}
-			for r := range st {
-				st[r] = join(st[r], out[p][r])
-			}
-		}
-		return st
+	if lid < 0 || fa.forest.Loops[lid].Irreducible {
+		return
 	}
-
-	if !reducibleHdr {
-		st := join2(fa.g.Preds[b])
-		if b == 0 {
-			// The entry block may also be a loop header (or irreducible);
-			// fold in the function-entry state.
-			ent := entryState()
-			for r := range st {
-				st[r] = join(st[r], ent[r])
-			}
-		}
-		return st
-	}
-
-	// Reducible loop header: split predecessors into entry edges and back
-	// edges.
-	var entryPreds, backPreds []int
-	for _, p := range fa.g.Preds[b] {
-		if fa.blockIn[lid][p] {
-			backPreds = append(backPreds, p)
-		} else {
-			entryPreds = append(entryPreds, p)
-		}
-	}
-	entrySt := join2(entryPreds)
-	if b == 0 {
-		ent := entryState()
-		for r := range entrySt {
-			entrySt[r] = join(entrySt[r], ent[r])
-		}
-	}
-	st := join2(append(append([]int(nil), entryPreds...), backPreds...))
+	// The loop's entry state joins the edges from outside the loop (and
+	// the function-entry state when the header is the entry block). The
+	// header dominates its loop, so its depth-first parent is outside it
+	// and already reached: the join is never nil.
+	entrySt := joinFrom(func(p int) bool { return !fa.blockIn[lid][p] })
 
 	iv := ivRef{Fn: fa.f.ID, Header: b}
 	isIV := make(map[isa.Reg]int64)
@@ -449,25 +387,6 @@ func (fa *funcAnalysis) blockIn2(b int, out [][]expr) []expr {
 			st[r] = top()
 		}
 	}
-	return st
-}
-
-func statesEqual(a, b []expr) bool {
-	for i := range a {
-		if !a[i].equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// transferBlock applies the block's instructions to a copy of the state.
-func (fa *funcAnalysis) transferBlock(b int, in []expr) []expr {
-	st := append([]expr(nil), in...)
-	for i := range fa.f.Blocks[b].Instrs {
-		fa.transfer(&fa.f.Blocks[b].Instrs[i], st)
-	}
-	return st
 }
 
 // transfer applies one instruction to the state in place.
@@ -515,7 +434,7 @@ func (fa *funcAnalysis) transfer(in *isa.Instr, st []expr) {
 	case isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shr:
 		a, b := val(in.Rs1), val(in.Rs2)
 		if a.isConst() && b.isConst() {
-			set(in.Rd, constant(foldALU(in.Op, a.c, b.c)))
+			set(in.Rd, constant(isa.FoldALU(in.Op, a.c, b.c)))
 		} else {
 			set(in.Rd, top())
 		}
@@ -528,32 +447,6 @@ func (fa *funcAnalysis) transfer(in *isa.Instr, st []expr) {
 	case isa.Call:
 		set(isa.RetReg, top())
 	}
-}
-
-// foldALU evaluates the constant-foldable ALU ops with the interpreter's
-// semantics (division by zero yields 0).
-func foldALU(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.Rem:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.Shr:
-		return a >> (uint64(b) & 63)
-	}
-	return 0
 }
 
 // eaExpr computes the abstract effective address of a memory instruction

@@ -105,3 +105,59 @@ func TestIrreducibleDemotion(t *testing.T) {
 		})
 	}
 }
+
+// TestEntryBlockLoopHeader: a loop headed by the function's entry block
+// joins the function-entry state into its header state, like a loop
+// behind a preheader. r9 is unknown on entry and 4096 on the back edge,
+// so the load through it is not statically linear in either shape.
+func TestEntryBlockLoopHeader(t *testing.T) {
+	body := []isa.Instr{
+		{Op: isa.Load, Rd: 8, Rs1: 9, Rs2: isa.RZ, Size: 8},
+		{Op: isa.MovI, Rd: 9, Imm: 4096},
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks []rawBlock
+	}{
+		{"entry-header", []rawBlock{{body: body, term: "br", target: 0}, {term: "halt"}}},
+		{"preheader", []rawBlock{{term: "fall"}, {body: body, term: "br", target: 1}, {term: "halt"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := AnalyzeProgram(rawProgram(t, tc.blocks))
+			if err != nil {
+				t.Fatalf("AnalyzeProgram: %v", err)
+			}
+			if len(a.Streams) != 1 {
+				t.Fatalf("streams = %d, want 1", len(a.Streams))
+			}
+			sp := a.Streams[0]
+			if sp.Confidence != Unresolved || sp.Reason != "address not statically linear" {
+				t.Errorf("load = %v (%q, stride %d, disp %d), want unresolved: address not statically linear",
+					sp.Confidence, sp.Reason, sp.Stride, sp.Disp)
+			}
+		})
+	}
+}
+
+// TestUnreachableBlockDoesNotJoin: an unreachable block's state never
+// reaches a successor. Block 1 has no predecessor; were its r9 = 99
+// joined into the loop, r9 would not be one constant there and the load
+// through it would not be exact.
+func TestUnreachableBlockDoesNotJoin(t *testing.T) {
+	a, err := AnalyzeProgram(rawProgram(t, []rawBlock{
+		{body: []isa.Instr{{Op: isa.MovI, Rd: 9, Imm: 4096}}, term: "jmp", target: 2},
+		{body: []isa.Instr{{Op: isa.MovI, Rd: 9, Imm: 99}}, term: "jmp", target: 2},
+		{body: []isa.Instr{{Op: isa.Load, Rd: 8, Rs1: 9, Rs2: isa.RZ, Size: 8}}, term: "br", target: 2},
+		{term: "halt"},
+	}))
+	if err != nil {
+		t.Fatalf("AnalyzeProgram: %v", err)
+	}
+	if len(a.Streams) != 1 {
+		t.Fatalf("streams = %d, want 1", len(a.Streams))
+	}
+	if sp := a.Streams[0]; sp.Confidence != Exact || sp.Stride != 0 || sp.Disp != 4096 {
+		t.Errorf("load = %v (%q, stride %d, disp %d), want exact, stride 0, disp 4096",
+			sp.Confidence, sp.Reason, sp.Stride, sp.Disp)
+	}
+}

@@ -3,8 +3,6 @@ package tables
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/workloads"
 )
 
 // BaselineRow compares one profiling technique on a workload.
@@ -27,18 +25,6 @@ type BaselineRow struct {
 // against the instrumented ground truth.
 func BaselineComparison(name string, opt Options) ([]BaselineRow, error) {
 	return NewEngine(opt).BaselineComparison(name)
-}
-
-func maxCore(phases []workloads.Phase) int {
-	m := 0
-	for _, ph := range phases {
-		for _, t := range ph {
-			if t.Core > m {
-				m = t.Core
-			}
-		}
-	}
-	return m
 }
 
 // WriteBaselines prints the comparison.

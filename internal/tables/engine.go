@@ -288,7 +288,7 @@ func (e *Engine) BaselineComparison(name string) ([]BaselineRow, error) {
 				if err != nil {
 					return instrumented{}, err
 				}
-				m, err := vm.NewMachine(p, cache.DefaultConfig(), maxCore(phases)+1, vm.Config{})
+				m, err := vm.NewMachine(p, cache.DefaultConfig(), vm.CoresFor(phases), vm.Config{})
 				if err != nil {
 					return instrumented{}, err
 				}

@@ -321,6 +321,18 @@ func (m *Machine) SetCoherenceObserver(o cache.CoherenceObserver) {
 	m.Caches.SetCoherenceObserver(o)
 }
 
+// CoresFor returns the number of cores a machine needs to run the
+// phases: the largest ThreadSpec.Core plus one, and at least one.
+func CoresFor(phases [][]ThreadSpec) int {
+	cores := 1
+	for _, ph := range phases {
+		for _, ts := range ph {
+			cores = max(cores, ts.Core+1)
+		}
+	}
+	return cores
+}
+
 // RunAll executes a sequence of phases back to back on the same machine
 // (same address space and caches) and returns the final phase's
 // statistics. A nil or empty phase list runs the program entry function

@@ -111,15 +111,7 @@ func coresFor(phases []Phase, override int) int {
 	if override > 0 {
 		return override
 	}
-	maxCore := 0
-	for _, ph := range phases {
-		for _, t := range ph {
-			if t.Core > maxCore {
-				maxCore = t.Core
-			}
-		}
-	}
-	return maxCore + 1
+	return vm.CoresFor(phases)
 }
 
 func maxThreads(phases []Phase) int {
