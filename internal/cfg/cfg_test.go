@@ -309,6 +309,9 @@ func TestAnalyzeLoopsOnBuilderProgram(t *testing.T) {
 	if li.Depth != 2 {
 		t.Errorf("load loop depth = %d, want 2 (inner)", li.Depth)
 	}
+	if k := pl.LoopKeyOfIP(*loadIP); k != li.Key {
+		t.Errorf("LoopKeyOfIP = %#x, want the loop's key %#x", k, li.Key)
+	}
 	if li.LineLo > 102 || li.LineHi < 102 {
 		t.Errorf("inner loop lines = %d-%d, want to cover 102", li.LineLo, li.LineHi)
 	}
@@ -330,6 +333,9 @@ func TestAnalyzeLoopsOnBuilderProgram(t *testing.T) {
 	}
 	if pl.LoopOfIP(0) != nil || pl.LoopOfIP(^uint64(0)) != nil {
 		t.Error("bogus IPs attributed")
+	}
+	if pl.LoopKeyOfIP(haltIP) != 0 || pl.LoopKeyOfIP(0) != 0 || pl.LoopKeyOfIP(^uint64(0)) != 0 {
+		t.Error("LoopKeyOfIP keys an instruction outside every loop")
 	}
 
 	// AllLoops is stable and sorted by (FnID, LoopID).

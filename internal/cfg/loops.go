@@ -124,18 +124,26 @@ func AnalyzeLoops(p *prog.Program) (*ProgramLoops, error) {
 // LoopOfIP returns the innermost loop containing the instruction at ip,
 // or nil when the instruction is loop-free or unknown.
 func (pl *ProgramLoops) LoopOfIP(ip uint64) *LoopInfo {
-	if ip < isa.TextBase {
-		return nil
-	}
-	idx := (ip - isa.TextBase) / isa.InstrBytes
-	if idx >= uint64(len(pl.ipKey)) {
-		return nil
-	}
-	key := pl.ipKey[idx]
+	key := pl.LoopKeyOfIP(ip)
 	if key == 0 {
 		return nil
 	}
 	return pl.infos[key]
+}
+
+// LoopKeyOfIP returns the key of the innermost loop containing the
+// instruction at ip, or 0 when the instruction is loop-free or unknown.
+// It reads the per-instruction index alone, so sample attribution pays
+// no map lookup.
+func (pl *ProgramLoops) LoopKeyOfIP(ip uint64) uint64 {
+	if ip < isa.TextBase {
+		return 0
+	}
+	idx := (ip - isa.TextBase) / isa.InstrBytes
+	if idx >= uint64(len(pl.ipKey)) {
+		return 0
+	}
+	return pl.ipKey[idx]
 }
 
 // Info returns the LoopInfo for a loop key, or nil.

@@ -143,12 +143,17 @@ type StructReport struct {
 	// static sharing analyzer attach them so WriteDot can overlay them
 	// on the affinity graph. A pair may relate an offset to itself: the
 	// field false-shares with its own copies in neighboring elements.
+	// A report from stream.Analyzer.Report is shared by concurrent
+	// readers and later reads, so never set this on it: attach to a copy
+	// of the StructReport instead.
 	KeepApart [][2]uint64
 
 	// Legality is the static transform-legality verdict for this
 	// structure, attached by callers running the legality pass (like
 	// KeepApart, it is not produced by the profiler itself). When set,
-	// Optimize consults it before building a split layout.
+	// Optimize consults it before building a split layout. Like
+	// KeepApart, attach it to a copy of the StructReport when the report
+	// came from stream.Analyzer.Report, which shares it.
 	Legality *LegalitySummary
 
 	// debugFields caches the debug-info field layout for name lookups.

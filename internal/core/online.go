@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-	"math/rand/v2"
 	"sort"
 
 	"repro/internal/affinity"
@@ -63,57 +61,16 @@ type IdentityAccum struct {
 	// deterministic regardless of sample or part order.
 	AnyObj profile.ObjInfo
 	HasObj bool
-	Levels map[uint8]uint64
+	// Levels histograms the samples by serving data source: Levels[l]
+	// counts the samples whose Level is l. It grows to the highest level
+	// seen, so a pushed sample may carry any uint8 level.
+	Levels []uint64
 
 	// lastObj is the previous sample's object, already in Objects.
 	lastObj int32
 
-	// The cells apply the paper's hot/cold split to the accumulator
-	// itself. blocks holds each cell beside its key; a block is allocated
-	// at its full capacity and never moves, so a new cell is written once
-	// and never copied. slots is an open-addressed index over them: a
-	// probe compares each slot's 32-bit hash tag and reads a 48-byte cell
-	// only when its tag matches. Both are pointer-free, so the garbage
-	// collector has nothing in them to scan.
-	blocks [][]cell
-	slots  []uint64
-	nCells int
-}
-
-// cell is one accumulation cell with its key.
-type cell struct {
-	key CellKey
-	CellStat
-}
-
-const (
-	// Cell blocks double from firstBlockCells up to maxBlockCells, so a
-	// small identity stays small and a large one wastes at most one
-	// block's tail.
-	firstBlockCells = 64
-	maxBlockCells   = 4096
-	// minSlots is the slot table's first size. It doubles whenever an
-	// insert would push its load above 3/4.
-	minSlots = 16
-
-	// A slot packs the hash tag into its high 32 bits and the cell's
-	// location, block<<slotIdxBits | index in block, into its low 32. The
-	// tag's low bit is always set, so an empty slot is exactly 0.
-	slotIdxBits = 12 // log2(maxBlockCells)
-	slotLocMask = 1<<32 - 1
-	slotIdxMask = 1<<slotIdxBits - 1
-)
-
-// cellSeed keys the cell hash per process, so a client that controls
-// sampled IPs and addresses cannot choose keys that collide in every
-// run and force long probe chains.
-var cellSeed = [2]uint64{rand.Uint64(), rand.Uint64()}
-
-// cellHash mixes a key nonlinearly: the 128-bit product of two
-// seed-xored key words, folded to 64 bits.
-func cellHash(k *CellKey) uint64 {
-	hi, lo := bits.Mul64(k.IP^k.LoopKey^cellSeed[0], k.RawOff^cellSeed[1])
-	return hi ^ lo
+	// cells holds one tally per (loop, IP, raw element offset).
+	cells cellTable
 }
 
 // NewIdentityAccum returns an empty accumulator for one identity.
@@ -121,8 +78,7 @@ func NewIdentityAccum(identity uint64) *IdentityAccum {
 	return &IdentityAccum{
 		Identity: identity,
 		Objects:  make(map[int32]bool),
-		Levels:   make(map[uint8]uint64),
-		slots:    make([]uint64, minSlots),
+		cells:    newCellTable(),
 	}
 }
 
@@ -143,97 +99,22 @@ func (a *IdentityAccum) AddSample(s *profile.Sample, obj *profile.ObjInfo, loops
 	}
 	var loopKey uint64
 	if loops != nil {
-		if li := loops.LoopOfIP(s.IP); li != nil {
-			loopKey = li.Key
-		}
+		loopKey = loops.LoopKeyOfIP(s.IP)
 	}
-	cs := a.cell(CellKey{LoopKey: loopKey, IP: s.IP, RawOff: s.EA - obj.Base})
+	cs := a.cells.get(CellKey{LoopKey: loopKey, IP: s.IP, RawOff: s.EA - obj.Base})
 	cs.Latency += uint64(s.Latency)
 	cs.Samples++
 	if s.Write {
 		cs.Writes++
 	}
+	if int(s.Level) >= len(a.Levels) {
+		a.Levels = append(a.Levels, make([]uint64, int(s.Level)+1-len(a.Levels))...)
+	}
 	a.Levels[s.Level]++
 }
 
 // NumCells returns the number of distinct cells accumulated so far.
-func (a *IdentityAccum) NumCells() int { return a.nCells }
-
-// cell returns the tally of key k, adding an empty cell on first sight.
-func (a *IdentityAccum) cell(k CellKey) *CellStat {
-	h := cellHash(&k)
-	tag := h>>32 | 1
-	mask := uint64(len(a.slots) - 1)
-	i := h & mask
-	for ; a.slots[i] != 0; i = (i + 1) & mask {
-		if s := a.slots[i]; s>>32 == tag {
-			if c := a.at(s); c.key == k {
-				return &c.CellStat
-			}
-		}
-	}
-	if 4*(a.nCells+1) > 3*len(a.slots) {
-		a.grow()
-		i = a.emptySlot(h)
-	}
-	loc := a.appendCell(k)
-	a.slots[i] = tag<<32 | loc
-	return &a.at(loc).CellStat
-}
-
-// emptySlot returns the first empty slot on hash h's probe path.
-func (a *IdentityAccum) emptySlot(h uint64) uint64 {
-	mask := uint64(len(a.slots) - 1)
-	i := h & mask
-	for a.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// at returns the cell a slot (or a bare location) points to.
-func (a *IdentityAccum) at(slot uint64) *cell {
-	loc := slot & slotLocMask
-	return &a.blocks[loc>>slotIdxBits][loc&slotIdxMask]
-}
-
-// appendCell stores a new cell, opening the next block when the last one
-// is full, and returns its location.
-func (a *IdentityAccum) appendCell(k CellKey) uint64 {
-	n := len(a.blocks)
-	if n == 0 || len(a.blocks[n-1]) == cap(a.blocks[n-1]) {
-		size := firstBlockCells
-		if n > 0 {
-			size = min(2*cap(a.blocks[n-1]), maxBlockCells)
-		}
-		a.blocks = append(a.blocks, make([]cell, 0, size))
-		n++
-	}
-	blk := &a.blocks[n-1]
-	*blk = append(*blk, cell{key: k})
-	a.nCells++
-	return uint64(n-1)<<slotIdxBits | uint64(len(*blk)-1)
-}
-
-// eachCell calls fn once on every cell, in insertion order.
-func (a *IdentityAccum) eachCell(fn func(*cell)) {
-	for _, blk := range a.blocks {
-		for j := range blk {
-			fn(&blk[j])
-		}
-	}
-}
-
-// grow doubles the slot table and reinserts every cell from its blocks.
-func (a *IdentityAccum) grow() {
-	a.slots = make([]uint64, 2*len(a.slots))
-	for b, blk := range a.blocks {
-		for j := range blk {
-			h := cellHash(&blk[j].key)
-			a.slots[a.emptySlot(h)] = (h>>32|1)<<32 | uint64(b)<<slotIdxBits | uint64(j)
-		}
-	}
-}
+func (a *IdentityAccum) NumCells() int { return a.cells.len() }
 
 // AccumulateProfile builds per-identity accumulators from a merged
 // profile in one pass over its samples.
@@ -455,39 +336,29 @@ func finalizeStruct(
 	}
 	for _, acc := range ip.accs {
 		for lvl, n := range acc.Levels {
-			sr.LevelSamples[lvl] += n
+			if n > 0 {
+				sr.LevelSamples[uint8(lvl)] += n
+			}
 		}
 	}
 
 	// --- Stage 2b: fold every part's cells mod size — field and loop tables
-	// Each cell is summed into one bucket per (region, field offset), one
-	// map operation per cell; the field, loop and affinity tables are then
-	// built from the buckets. Affinity (Equation 7) counts co-occurrence
-	// within a region: the cell's loop, or for an access outside every
-	// loop a per-instruction pseudo-region (bit 63 set, which no
-	// cfg.LoopKey has), so unrelated straight-line code does not fake
-	// co-occurrence.
-	type bucket struct {
-		region, off uint64
-		CellStat
-	}
-	bucketIdx := make(map[[2]uint64]int32)
-	var buckets []bucket
+	// Each cell is summed into one bucket per (region, field offset): a
+	// cell of a local table keyed {LoopKey: region, RawOff: offset}, one
+	// probe per cell. The field, loop and affinity tables are then built
+	// from the buckets in the table's insertion order. Affinity (Equation
+	// 7) counts co-occurrence within a region: the cell's loop, or for an
+	// access outside every loop a per-instruction pseudo-region (bit 63
+	// set, which no cfg.LoopKey has), so unrelated straight-line code does
+	// not fake co-occurrence.
+	buckets := newCellTable()
 	for _, acc := range ip.accs {
-		acc.eachCell(func(c *cell) {
+		acc.cells.each(func(c *cell) {
 			region := c.key.LoopKey
 			if region == 0 {
 				region = c.key.IP | 1<<63
 			}
-			off := c.key.RawOff % size // Equation 6
-			k := [2]uint64{region, off}
-			bi, ok := bucketIdx[k]
-			if !ok {
-				bi = int32(len(buckets))
-				bucketIdx[k] = bi
-				buckets = append(buckets, bucket{region: region, off: off})
-			}
-			b := &buckets[bi]
+			b := buckets.get(CellKey{LoopKey: region, RawOff: c.key.RawOff % size}) // Equation 6
 			b.Latency += c.Latency
 			b.Samples += c.Samples
 			b.Writes += c.Writes
@@ -501,15 +372,15 @@ func finalizeStruct(
 	}
 	loopTab := make(map[uint64]*loopAgg) // loop key (0 = outside)
 	ab := affinity.NewBuilder()
-	for i := range buckets {
-		b := &buckets[i]
-		f := fields[b.off]
+	buckets.each(func(b *cell) {
+		region, off := b.key.LoopKey, b.key.RawOff
+		f := fields[off]
 		f.Latency += b.Latency
 		f.Samples += b.Samples
 		f.Writes += b.Writes
-		fields[b.off] = f
+		fields[off] = f
 
-		loop := b.region
+		loop := region
 		if loop>>63 != 0 {
 			loop = 0
 		}
@@ -519,14 +390,14 @@ func finalizeStruct(
 			loopTab[loop] = la
 		}
 		la.lat += b.Latency
-		la.offsets[b.off] = true
+		la.offsets[off] = true
 
 		weight := b.Latency
 		if opt.WeightByCount {
 			weight = b.Samples
 		}
-		ab.Add(b.region, b.off, weight)
-	}
+		ab.Add(region, off, weight)
+	})
 
 	// Field table (Table 5).
 	offsets := make([]uint64, 0, len(fields))

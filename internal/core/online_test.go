@@ -2,8 +2,8 @@ package core
 
 // The cell table is a hand-built hash index over blocks that never move,
 // so these tests hold it to a plain Go map: driven with the same samples,
-// every cell's tally must match the map's, and the report fold must visit
-// each cell exactly once.
+// every cell's tally and the level histogram must match the map's, and
+// the report fold must visit each cell exactly once.
 
 import (
 	"encoding/binary"
@@ -21,13 +21,20 @@ type cellRef struct {
 	loops   *cfg.ProgramLoops
 	cells   map[CellKey]CellStat
 	objects map[int32]bool
+	levels  map[uint8]uint64
 	latency uint64
 	samples uint64
 	minObj  int32
 }
 
 func newCellRef(loops *cfg.ProgramLoops) *cellRef {
-	return &cellRef{loops: loops, cells: make(map[CellKey]CellStat), objects: make(map[int32]bool), minObj: -1}
+	return &cellRef{
+		loops:   loops,
+		cells:   make(map[CellKey]CellStat),
+		objects: make(map[int32]bool),
+		levels:  make(map[uint8]uint64),
+		minObj:  -1,
+	}
 }
 
 func (r *cellRef) add(s *profile.Sample, obj *profile.ObjInfo) {
@@ -43,6 +50,7 @@ func (r *cellRef) add(s *profile.Sample, obj *profile.ObjInfo) {
 	}
 	r.cells[k] = c
 	r.objects[s.ObjID] = true
+	r.levels[s.Level]++
 	r.latency += uint64(s.Latency)
 	r.samples++
 	if r.minObj < 0 || obj.ID < r.minObj {
@@ -57,7 +65,7 @@ func (r *cellRef) check(t testing.TB, a *IdentityAccum) {
 		t.Fatalf("NumCells = %d, want %d", a.NumCells(), len(r.cells))
 	}
 	seen := make(map[CellKey]bool, len(r.cells))
-	a.eachCell(func(c *cell) {
+	a.cells.each(func(c *cell) {
 		if seen[c.key] {
 			t.Fatalf("cell %+v visited twice", c.key)
 		}
@@ -87,7 +95,24 @@ func (r *cellRef) check(t testing.TB, a *IdentityAccum) {
 	if r.samples > 0 && (!a.HasObj || a.AnyObj.ID != r.minObj) {
 		t.Fatalf("AnyObj = %d (has %v), want %d", a.AnyObj.ID, a.HasObj, r.minObj)
 	}
+	top := -1
+	for lvl := range r.levels {
+		top = max(top, int(lvl))
+	}
+	if len(a.Levels) != top+1 {
+		t.Fatalf("Levels has %d entries, want %d (highest level %d)", len(a.Levels), top+1, top)
+	}
+	for lvl, n := range a.Levels {
+		if n != r.levels[uint8(lvl)] {
+			t.Fatalf("Levels[%d] = %d, want %d", lvl, n, r.levels[uint8(lvl)])
+		}
+	}
 }
+
+// fedLevels are the data-source levels the tests feed: L1 and memory of
+// the default hierarchy, a level past it, and the highest byte a pushed
+// sample can carry.
+var fedLevels = [4]uint8{0, 4, 7, 255}
 
 // cellFixture is an accumulator, its reference, and the IPs and objects
 // samples are drawn from: the three loads of testProgram (two inside
@@ -122,7 +147,7 @@ func (f *cellFixture) fresh() *cellFixture {
 
 func (f *cellFixture) add(ip, rawOff uint64, obj int, latency uint32, write bool) {
 	o := &f.objs[obj%len(f.objs)]
-	s := profile.Sample{IP: ip, EA: o.Base + rawOff, Latency: latency, Level: uint8(latency % 4), Write: write, ObjID: o.ID}
+	s := profile.Sample{IP: ip, EA: o.Base + rawOff, Latency: latency, Level: fedLevels[latency%4], Write: write, ObjID: o.ID}
 	f.acc.AddSample(&s, o, f.loops)
 	f.ref.add(&s, o)
 }
@@ -244,4 +269,91 @@ func FuzzIdentityAccum(f *testing.F) {
 		}
 		fx.ref.check(t, fx.acc)
 	})
+}
+
+// TestBuildReportFoldMatchesMap pushes thousands of distinct (region,
+// field offset) pairs, split over two parts, through BuildReport, so the
+// fold's bucket table grows through many slot tables and blocks, and
+// holds the field and loop tables to a map over the same samples.
+func TestBuildReportFoldMatchesMap(t *testing.T) {
+	const size = 4096
+	f := newCellFixture(t)
+	p, _, _, _, _ := testProgram(t)
+	ips := append([]uint64(nil), f.ips[:3]...)
+	for i := uint64(0); i < 13; i++ {
+		ips = append(ips, 0x100+8*i) // below the text: one pseudo-region each
+	}
+	obj := profile.ObjInfo{ID: 3, Name: "arr", Identity: 1, Base: 0x10000, TypeID: -1}
+	parts := []*IdentityAccum{NewIdentityAccum(1), NewIdentityAccum(1)}
+	type bucketKey struct{ region, off uint64 }
+	buckets := make(map[bucketKey]bool)
+	fields := make(map[uint64]CellStat)
+	loopLat := make(map[uint64]uint64)
+	var total uint64
+	rng := rand.New(rand.NewPCG(5, 11))
+	for n := 0; n < 40_000; n++ {
+		ip := ips[rng.IntN(len(ips))]
+		off := 8 * rng.Uint64N(size/8)
+		s := profile.Sample{
+			IP: ip, EA: obj.Base + rng.Uint64N(4)*size + off,
+			Latency: 1 + rng.Uint32N(300), Write: rng.IntN(4) == 0, ObjID: obj.ID,
+		}
+		parts[n%2].AddSample(&s, &obj, f.loops)
+		loop := f.loops.LoopKeyOfIP(ip)
+		region := loop
+		if region == 0 {
+			region = ip | 1<<63
+		}
+		buckets[bucketKey{region, off}] = true
+		c := fields[off]
+		c.Latency += uint64(s.Latency)
+		c.Samples++
+		if s.Write {
+			c.Writes++
+		}
+		fields[off] = c
+		loopLat[loop] += uint64(s.Latency)
+		total += uint64(s.Latency)
+	}
+	if len(buckets) < 3*maxBlockCells/2 {
+		t.Fatalf("%d buckets: too few to grow the fold's table past its largest block", len(buckets))
+	}
+
+	streams := map[profile.StreamKey]*profile.StreamStat{
+		{IP: ips[0], Identity: 1}: {IP: ips[0], Identity: 1, Count: 10, GCD: size, FirstEA: obj.Base, FirstObjID: obj.ID},
+	}
+	objOf := func(int32) *profile.ObjInfo { return &obj }
+	rep, err := BuildReport(ReportMeta{Program: "unit", TotalLatency: total, NumSamples: 40_000, Threads: 2},
+		[]map[uint64]*IdentityAccum{{1: parts[0]}, {1: parts[1]}}, streams, objOf, p, f.loops, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Structures) != 1 || rep.Structures[0].InferredSize != size {
+		t.Fatalf("report has %d structures; want one of inferred size %d", len(rep.Structures), size)
+	}
+	sr := rep.Structures[0]
+	if len(sr.Fields) != len(fields) {
+		t.Fatalf("field table has %d rows, want %d", len(sr.Fields), len(fields))
+	}
+	for i, fr := range sr.Fields {
+		want := fields[fr.Offset]
+		if i > 0 && fr.Offset <= sr.Fields[i-1].Offset {
+			t.Fatalf("field rows out of order at offset %d", fr.Offset)
+		}
+		if got := (CellStat{Latency: fr.LatencySum, Samples: fr.Samples, Writes: fr.Writes}); got != want {
+			t.Fatalf("field offset %d = %+v, want %+v", fr.Offset, got, want)
+		}
+	}
+	if len(sr.Loops) != len(loopLat) {
+		t.Fatalf("loop table has %d rows, want %d", len(sr.Loops), len(loopLat))
+	}
+	for _, lr := range sr.Loops {
+		var key uint64
+		if lr.Loop != nil {
+			key = lr.Loop.Key
+		}
+		if lr.LatencySum != loopLat[key] {
+			t.Errorf("loop %s: latency %d, want %d", lr.Name, lr.LatencySum, loopLat[key])
+		}
+	}
 }

@@ -272,11 +272,18 @@ func (az *analyzer) solve() *collector {
 	for _, f := range az.p.Funcs {
 		az.graphs[f.ID] = cfg.Build(f)
 	}
+	// ins keeps each function's in-states from the latest sweep, and the
+	// collect pass walks them as they are. A sweep that changed no memory
+	// and no return value ran every function under the final
+	// environment. When the budget runs out instead, the program-level
+	// demotion below freezes every record object, so no verdict depends
+	// on which unconverged states the walk sees.
+	ins := make([][][]value, len(az.p.Funcs))
 	converged := false
 	for sweep := 0; sweep < maxProgramSweeps; sweep++ {
 		az.dirty = false
 		for _, f := range az.p.Funcs {
-			az.runFunc(f, nil)
+			ins[f.ID] = az.solveFunc(f)
 		}
 		if !az.dirty {
 			converged = true
@@ -292,15 +299,14 @@ func (az *analyzer) solve() *collector {
 	}
 	col.demoted = append(col.demoted, az.demotions...)
 	for _, f := range az.p.Funcs {
-		az.runFunc(f, col)
+		az.collect(f, ins[f.ID], col)
 	}
 	return col
 }
 
-// runFunc runs the per-function inner fixpoint. With col set it then
-// performs one attribution sweep over the converged in-states (the
-// fixpoint re-runs first so they reflect the final memory environment).
-func (az *analyzer) runFunc(f *prog.Func, col *collector) {
+// solveFunc runs the per-function inner fixpoint under the current
+// memory environment and returns its in-states.
+func (az *analyzer) solveFunc(f *prog.Func) [][]value {
 	ins, ok := cfg.Solve(az.graphs[f.ID], cfg.Flow[value]{
 		Entry:    newEntryState(),
 		Join:     join,
@@ -310,9 +316,11 @@ func (az *analyzer) runFunc(f *prog.Func, col *collector) {
 	if !ok {
 		az.noteBudget(f)
 	}
-	if col == nil {
-		return
-	}
+	return ins
+}
+
+// collect performs one attribution sweep over a function's in-states.
+func (az *analyzer) collect(f *prog.Func, ins [][]value, col *collector) {
 	for b, in := range ins {
 		if in == nil {
 			continue // unreachable

@@ -405,6 +405,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("structslim_batches_total", "Batches accepted for ingest.", s.batchesTotal.Load())
 	counter("structslim_rejected_batches_total", "Batches rejected with 429 backpressure.", s.rejected.Load())
 	counter("structslim_ingest_errors_total", "Batches the analyzer rejected.", s.ingestErrors.Load())
+	counter("structslim_report_builds_total", "Reports built; a read with nothing ingested since the last build reuses it.", s.an.ReportBuilds())
 	fmt.Fprintf(&b, "# HELP structslim_sessions Live ingest sessions.\n# TYPE structslim_sessions gauge\nstructslim_sessions %d\n", len(infos))
 	fmt.Fprintf(&b, "# HELP structslim_uptime_seconds Server uptime.\n# TYPE structslim_uptime_seconds gauge\nstructslim_uptime_seconds %.3f\n", uptime)
 	fmt.Fprintf(&b, "# HELP structslim_samples_per_second Mean accepted-sample rate since start.\n# TYPE structslim_samples_per_second gauge\nstructslim_samples_per_second %.3f\n", rate)

@@ -552,3 +552,81 @@ func TestLiveTop(t *testing.T) {
 		}
 	}
 }
+
+// TestReportBuildsMetric: GET /v1/report then GET /v1/advice/{record}
+// share one report build, and a POST /v1/samples between the two reads
+// forces a second. structslim_report_builds_total counts the builds.
+func TestReportBuildsMetric(t *testing.T) {
+	w, err := workloads.Get("art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, phases, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := structslim.ProfileRun(p, phases, testOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := batchesOf(res, 128)
+	for _, tc := range []struct {
+		name       string
+		postMiddle bool
+		want       uint64
+	}{{"reads", false, 1}, {"reads around a post", true, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			an, err := stream.New(p, stream.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.New(an, server.Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Drain()
+			post := func(bs []stream.Batch) {
+				resp := postBatches(t, ts, server.ContentTypeBinary, bs)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("POST /v1/samples: %d", resp.StatusCode)
+				}
+			}
+			last := len(bs) - 1
+			if tc.postMiddle {
+				post(bs[:last])
+			} else {
+				post(bs)
+			}
+			if code, body := get(t, ts, "/v1/report"); code != http.StatusOK {
+				t.Fatalf("GET /v1/report: %d: %s", code, body)
+			}
+			if tc.postMiddle {
+				post(bs[last:])
+			}
+			path := "/v1/advice/" + w.Record().Name
+			if code, body := get(t, ts, path); code != http.StatusOK {
+				t.Fatalf("GET %s: %d: %s", path, code, body)
+			}
+			code, body := get(t, ts, "/metrics")
+			if code != http.StatusOK {
+				t.Fatalf("GET /metrics: %d", code)
+			}
+			var builds uint64
+			found := false
+			for _, line := range strings.Split(string(body), "\n") {
+				if v, ok := strings.CutPrefix(line, "structslim_report_builds_total "); ok {
+					if builds, err = strconv.ParseUint(v, 10, 64); err != nil {
+						t.Fatalf("metrics line %q: %v", line, err)
+					}
+					found = true
+				}
+			}
+			if !found {
+				t.Fatal("metrics missing structslim_report_builds_total")
+			}
+			if builds != tc.want || an.ReportBuilds() != tc.want {
+				t.Errorf("report builds: metric %d, analyzer %d, want %d", builds, an.ReportBuilds(), tc.want)
+			}
+		})
+	}
+}

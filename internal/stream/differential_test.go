@@ -30,9 +30,12 @@ var diffOpt = structslim.Options{SamplePeriod: 3000, Seed: 7}
 // feed replays the run's per-thread sample streams into the analyzer as
 // one session per thread, split into batches of batchSize samples. The
 // full object table rides on each session's first batch; the cycle
-// accounts ride on the last.
-func feed(t *testing.T, a *stream.Analyzer, res *structslim.RunResult, process string, batchSize int) {
+// accounts ride on the last. With readEvery > 0 it also reads Report
+// after every readEvery-th batch, so a report cached at one generation
+// meets later batches.
+func feed(t *testing.T, a *stream.Analyzer, res *structslim.RunResult, process string, batchSize, readEvery int) {
 	t.Helper()
+	batches := 0
 	for _, tp := range res.ThreadProfiles {
 		n := len(tp.Samples)
 		var seq uint64
@@ -59,6 +62,11 @@ func feed(t *testing.T, a *stream.Analyzer, res *structslim.RunResult, process s
 			}
 			if err := a.Ingest(b); err != nil {
 				t.Fatal(err)
+			}
+			if batches++; readEvery > 0 && batches%readEvery == 0 {
+				if _, err := a.Report(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			seq++
 			if end == n {
@@ -100,10 +108,12 @@ func TestStreamingMatchesBatch(t *testing.T) {
 }
 
 // checkStreamingMatchesBatch profiles one workload and feeds its sample
-// streams to an analyzer at every shard count and batch size. Snapshot
-// materialization is the expensive check; it runs at one batch size,
-// snapshotBatch (the online state it reads is batching-insensitive,
-// which the report checks prove per size).
+// streams to an analyzer at every shard count and batch size, reading
+// Report after every 7th batch; a report cached across a later batch
+// would make the final one differ. Snapshot materialization is the
+// expensive check; it runs at one batch size, snapshotBatch (the online
+// state it reads is batching-insensitive, which the report checks prove
+// per size).
 func checkStreamingMatchesBatch(t *testing.T, name string, opt structslim.Options, shardCounts, sizes []int, snapshotBatch int) {
 	w, err := workloads.Get(name)
 	if err != nil {
@@ -130,7 +140,7 @@ func checkStreamingMatchesBatch(t *testing.T, name string, opt structslim.Option
 				if err != nil {
 					t.Fatal(err)
 				}
-				feed(t, a, res, "p0", bs)
+				feed(t, a, res, "p0", bs, 7)
 
 				if bs == snapshotBatch {
 					snap, err := a.Snapshot()
@@ -163,7 +173,7 @@ func checkStreamingMatchesBatch(t *testing.T, name string, opt structslim.Option
 
 // TestStreamingShardedConcurrent ingests every session from its own
 // goroutine into a sharded analyzer — the server's actual concurrency
-// shape — while one reader loops over Report, Live, Sessions and
+// shape — while two readers loop over Report, Live, Sessions and
 // Snapshot, and requires the final report to stay byte-identical. Every
 // report read during ingest must be one consistent cut: each structure
 // with a known size has field latencies summing to its own. Run under -race (CI's
@@ -196,21 +206,26 @@ func TestStreamingShardedConcurrent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// Two readers, so a report cached between batches is
+					// read by both at once while ingest invalidates it.
 					ingested := make(chan struct{})
-					readerDone := make(chan struct{})
-					go func() {
-						defer close(readerDone)
-						for {
-							// Check after each pass, so at least one pass
-							// runs whatever the timing.
-							select {
-							case <-ingested:
-								return
-							default:
+					var readers sync.WaitGroup
+					for r := 0; r < 2; r++ {
+						readers.Add(1)
+						go func() {
+							defer readers.Done()
+							for {
+								// Check after each pass, so at least one
+								// pass runs whatever the timing.
+								select {
+								case <-ingested:
+									return
+								default:
+								}
+								readDuringIngest(t, a)
 							}
-							readDuringIngest(t, a)
-						}
-					}()
+						}()
+					}
 
 					var wg sync.WaitGroup
 					errc := make(chan error, len(res.ThreadProfiles))
@@ -254,7 +269,7 @@ func TestStreamingShardedConcurrent(t *testing.T) {
 					}
 					wg.Wait()
 					close(ingested)
-					<-readerDone
+					readers.Wait()
 					close(errc)
 					if err := <-errc; err != nil {
 						t.Fatal(err)
@@ -327,7 +342,7 @@ func TestStreamingReportWithoutSamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			feed(t, a, res, "p0", 64)
+			feed(t, a, res, "p0", 64, 0)
 			if _, err := a.Snapshot(); err == nil {
 				t.Error("snapshot should be unavailable with DropSamples")
 			}
@@ -383,8 +398,8 @@ func TestStreamingMultiProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(t, a, res0, "proc0", 33)
-	feed(t, a, res1, "proc1", 47)
+	feed(t, a, res0, "proc0", 33, 0)
+	feed(t, a, res1, "proc1", 47, 0)
 
 	snap, err := a.Snapshot()
 	if err != nil {

@@ -82,14 +82,7 @@ func (a *Analyzer) Live(topK int) *LiveView {
 				it.objID = acc.AnyObj.ID
 			}
 		}
-		for k, e := range s.streams {
-			if dst := streams[k]; dst != nil {
-				dst.MergeFrom(&e.stat)
-			} else {
-				cp := e.stat
-				streams[k] = &cp
-			}
-		}
+		s.mergeStreams(streams)
 		s.mu.Unlock()
 	}
 

@@ -17,7 +17,10 @@
 //     canonical (process, TID, id) order — one consistent cut across
 //     sessions, with no accumulation cell copied — byte-identical to the
 //     batch analyzer given the same complete event stream, with no need
-//     to retain raw samples;
+//     to retain raw samples. A report is built once per ingest
+//     generation, which every accepted batch and every new session
+//     bumps, and shared by every read until the next bump: a read that
+//     finds it takes no session lock, and callers must not modify it;
 //   - Snapshot: a materialized profile.Profile, produced by lifting each
 //     session to a thread profile and reusing the reduction-tree merge
 //     (profile.MergeTree) and, across processes,
@@ -30,11 +33,13 @@
 // stream per (IP, context, identity) and one accumulation cell per
 // (loop, IP, raw element offset), so a dense or irregular profile holds
 // nearly as many cells as samples (health at period 12: 87,458 cells for
-// 109,254 samples). Each cell is written once into a block that never
-// moves and found through a table of hash tags (core.IdentityAccum), and
-// a report sums the cells into one bucket per (region, field offset)
-// before it builds its tables. Retained samples, unless DropSamples is
-// set, are copied a batch at a time into blocks that never move either.
+// 109,254 samples). A session finds its streams through an
+// open-addressed table of entry pointers. Each cell is written once into
+// a block that never moves and found through a table of hash tags
+// (core.IdentityAccum), and a report sums the cells into one bucket per
+// (region, field offset), a cell of the same kind of table, before it
+// builds its tables. Retained samples, unless DropSamples is set, are
+// copied a batch at a time into blocks that never move either.
 // LRU eviction bounds the streams (MaxStreams) and the identities
 // (MaxIdentities; an evicted identity's cells go with it), but nothing
 // bounds the cells of an identity that stays tracked; SessionInfo.Cells
@@ -125,6 +130,21 @@ type Analyzer struct {
 	period atomic.Uint64
 
 	shards []*shard
+
+	// gen is the ingest generation. A new session bumps it once it is in
+	// its shard, and an accepted batch once its state is in place, so a
+	// reader that sees a generation also sees every change it counts.
+	gen atomic.Uint64
+	// report is the last report built, tagged with the generation read
+	// before its build began; builds counts the builds.
+	report atomic.Pointer[builtReport]
+	builds atomic.Uint64
+}
+
+// builtReport is a report with the ingest generation it covers.
+type builtReport struct {
+	gen uint64
+	rep *core.Report
 }
 
 // shard is one partition of the session directory. Sessions hash to a
@@ -169,9 +189,10 @@ func (a *Analyzer) shardFor(session string) *shard {
 	return a.shards[h%uint64(len(a.shards))]
 }
 
-// streamEntry is one live stream with its LRU links.
+// streamEntry is one live stream with its key's hash and its LRU links.
 type streamEntry struct {
 	key        profile.StreamKey
+	hash       uint64
 	stat       profile.StreamStat
 	prev, next *streamEntry
 }
@@ -192,7 +213,7 @@ type session struct {
 	// the session grows.
 	sampleBlocks [][]profile.Sample
 
-	streams map[profile.StreamKey]*streamEntry
+	streams streamTable
 	lruHead *streamEntry // most recently updated
 	lruTail *streamEntry // eviction candidate
 	lastKey profile.StreamKey
@@ -264,6 +285,7 @@ func (a *Analyzer) Ingest(b Batch) error {
 	}
 	s.batches++
 	s.lastSeq = b.Seq
+	a.gen.Add(1)
 	return nil
 }
 
@@ -292,12 +314,13 @@ func (a *Analyzer) getSession(b *Batch) (*session, error) {
 		process:    b.Process,
 		tid:        b.TID,
 		period:     b.Period,
-		streams:    make(map[profile.StreamKey]*streamEntry),
+		streams:    newStreamTable(),
 		accums:     make(map[uint64]*core.IdentityAccum),
 		identTouch: make(map[uint64]uint64),
 		objByID:    make(map[int32]*profile.ObjInfo),
 	}
 	sh.sessions[b.Session] = s
+	a.gen.Add(1)
 	return s, nil
 }
 
@@ -324,11 +347,12 @@ func (a *Analyzer) addSample(s *session, sm *profile.Sample) {
 	key := profile.StreamKey{IP: sm.IP, Ctx: sm.Ctx, Identity: identity}
 	ent := s.lastEnt
 	if ent == nil || key != s.lastKey {
-		ent = s.streams[key]
-		if ent == nil {
-			ent = &streamEntry{key: key, stat: profile.StreamStat{IP: sm.IP, Identity: identity}}
-			s.streams[key] = ent
-			if a.conf.MaxStreams > 0 && len(s.streams) > a.conf.MaxStreams {
+		h := streamHash(&key)
+		var slot uint64
+		if ent, slot = s.streams.find(&key, h); ent == nil {
+			ent = &streamEntry{key: key, hash: h, stat: profile.StreamStat{IP: sm.IP, Identity: identity}}
+			s.streams.put(ent, slot)
+			if a.conf.MaxStreams > 0 && s.streams.len() > a.conf.MaxStreams {
 				s.evictColdestStream(ent)
 			}
 		}
@@ -421,7 +445,7 @@ func (s *session) evictColdestStream(keep *streamEntry) {
 	if s.lruHead == victim {
 		s.lruHead = nil
 	}
-	delete(s.streams, victim.key)
+	s.streams.remove(victim)
 	if s.lastEnt == victim {
 		s.lastEnt = nil
 	}
@@ -476,6 +500,20 @@ func (a *Analyzer) sortedSessions() []*session {
 	return out
 }
 
+// mergeStreams folds the session's stream statistics into dst with the
+// reduction tree's semantics (profile.StreamStat.MergeFrom); caller holds
+// s.mu.
+func (s *session) mergeStreams(dst map[profile.StreamKey]*profile.StreamStat) {
+	s.streams.each(func(e *streamEntry) {
+		if d := dst[e.key]; d != nil {
+			d.MergeFrom(&e.stat)
+		} else {
+			cp := e.stat
+			dst[e.key] = &cp
+		}
+	})
+}
+
 // threadProfile materializes the session as a per-thread profile; caller
 // holds s.mu.
 func (s *session) threadProfile() *profile.ThreadProfile {
@@ -486,10 +524,10 @@ func (s *session) threadProfile() *profile.ThreadProfile {
 			tp.Samples = append(tp.Samples, blk...)
 		}
 	}
-	for k, e := range s.streams {
+	s.streams.each(func(e *streamEntry) {
 		cp := e.stat
-		tp.Streams[k] = &cp
-	}
+		tp.Streams[e.key] = &cp
+	})
 	tp.Objects = append([]profile.ObjInfo(nil), s.objects...)
 	tp.NumSamples = s.numSamples
 	tp.TotalLatency = s.totalLatency
@@ -542,11 +580,16 @@ func (a *Analyzer) Snapshot() (*profile.Profile, error) {
 	return profile.MergeProcessProfiles(perProc)
 }
 
-// Report builds the full analysis from the online state alone — no raw
-// samples needed. It locks every session for the whole build and folds
-// the sessions' own accumulators in place (core.BuildReport takes one
-// part per session), so no accumulation cell is copied; per-session
-// stream statistics merge with the reduction tree's semantics
+// Report returns the full analysis from the online state alone — no raw
+// samples needed. A report is built once per ingest generation and
+// shared: while no batch has landed and no session has appeared since
+// the last build, Report returns that same report without taking a
+// session lock, so callers must not modify it.
+//
+// A build locks every session for its whole length and folds the
+// sessions' own accumulators in place (core.BuildReport takes one part
+// per session), so no accumulation cell is copied; per-session stream
+// statistics merge with the reduction tree's semantics
 // (profile.StreamStat.MergeFrom in ascending session order). The result
 // is byte-identical to core.Analyze over the batch profile of the same
 // complete event stream.
@@ -558,6 +601,28 @@ func (a *Analyzer) Report() (*core.Report, error) {
 	if a.program == nil {
 		return nil, fmt.Errorf("stream: report needs the analyzed program")
 	}
+	// Read the generation before gathering the sessions: the build then
+	// covers at least every change the generation counts, and any later
+	// change bumps it past the tag, so a hit is never stale.
+	gen := a.gen.Load()
+	if c := a.report.Load(); c != nil && c.gen == gen {
+		return c.rep, nil
+	}
+	rep, err := a.buildReport()
+	if err != nil {
+		return nil, err
+	}
+	a.builds.Add(1)
+	a.report.Store(&builtReport{gen: gen, rep: rep})
+	return rep, nil
+}
+
+// ReportBuilds returns how many reports Report has built; a call that
+// returns the cached report does not count.
+func (a *Analyzer) ReportBuilds() uint64 { return a.builds.Load() }
+
+// buildReport builds a report from the current online state.
+func (a *Analyzer) buildReport() (*core.Report, error) {
 	sessions := a.sortedSessions()
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("stream: no sessions")
@@ -598,14 +663,7 @@ func (a *Analyzer) Report() (*core.Report, error) {
 	var totalLatency, numSamples, appCycles, overheadCycles uint64
 	for _, s := range sessions {
 		parts = append(parts, s.accums)
-		for k, e := range s.streams {
-			if dst := streams[k]; dst != nil {
-				dst.MergeFrom(&e.stat)
-			} else {
-				cp := e.stat
-				streams[k] = &cp
-			}
-		}
+		s.mergeStreams(streams)
 		for id, oi := range s.objByID {
 			if _, ok := objByID[id]; !ok {
 				cp := *oi
@@ -688,7 +746,7 @@ func (a *Analyzer) Sessions() []SessionInfo {
 			LastSeq:           s.lastSeq,
 			NumSamples:        s.numSamples,
 			LastCycle:         s.lastCycle,
-			Streams:           len(s.streams),
+			Streams:           s.streams.len(),
 			Identities:        len(s.accums),
 			Cells:             cells,
 			EvictedStreams:    s.evictedStreams,

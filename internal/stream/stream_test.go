@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/stream"
+	"repro/internal/workloads"
 )
 
 func TestIngestValidation(t *testing.T) {
@@ -211,5 +213,142 @@ func TestConcurrentSessions(t *testing.T) {
 	wantSamples := uint64(sessions * 20 * 3 * 4)
 	if lv.NumSamples != wantSamples {
 		t.Errorf("samples = %d, want %d", lv.NumSamples, wantSamples)
+	}
+}
+
+// TestReportCache: Report builds once per ingest generation. A repeated
+// read returns the same report without a build; every accepted change —
+// an ordinary batch, a batch of objects only, a batch of cycle accounts
+// only, a new session's first batch — forces the next read to rebuild,
+// and a rejected batch does not. The multi-process fallback caches the
+// same way.
+func TestReportCache(t *testing.T) {
+	w, err := workloads.Get("quickstart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := stream.New(p, stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(b stream.Batch) {
+		t.Helper()
+		if err := a.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report := func() *core.Report {
+		t.Helper()
+		rep, err := a.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	// cached reads twice and expects the report it was given, built by no
+	// new build.
+	cached := func(what string, rep *core.Report) {
+		t.Helper()
+		builds := a.ReportBuilds()
+		for i := 0; i < 2; i++ {
+			if got := report(); got != rep {
+				t.Fatalf("%s: a repeated Report returned a different report", what)
+			}
+		}
+		if got := a.ReportBuilds(); got != builds {
+			t.Fatalf("%s: a repeated Report built %d reports", what, got-builds)
+		}
+	}
+
+	ingest(synthBatch("s", 4, 2, 12))
+	rep := report()
+	if a.ReportBuilds() != 1 {
+		t.Fatalf("first Report: %d builds, want 1", a.ReportBuilds())
+	}
+	cached("after the first build", rep)
+
+	more := synthBatch("s", 4, 2, 5)
+	more.Objects = nil
+	objOnly := stream.Batch{Session: "s", Process: "p", Period: 1000, Objects: []profile.ObjInfo{
+		{ID: 9, Name: "late", Base: 0x900000, Size: 64, Identity: 900, TypeID: -1},
+	}}
+	for _, step := range []struct {
+		name  string
+		batch stream.Batch
+		check func(*core.Report) bool
+	}{
+		{"an ordinary batch", more, func(r *core.Report) bool { return r.NumSamples == 48+20 }},
+		{"an objects-only batch", objOnly, nil},
+		{"a batch of cycle accounts only",
+			stream.Batch{Session: "s", Process: "p", Period: 1000, AppCycles: 1000, OverheadCycles: 25},
+			func(r *core.Report) bool { return r.OverheadPct == 2.5 }},
+		{"a new session's first batch",
+			stream.Batch{Session: "s2", Process: "p", TID: 1, Period: 1000},
+			func(r *core.Report) bool { return r.Threads == 2 }},
+	} {
+		builds := a.ReportBuilds()
+		ingest(step.batch)
+		next := report()
+		if next == rep || a.ReportBuilds() != builds+1 {
+			t.Fatalf("after %s: Report did not rebuild (%d builds)", step.name, a.ReportBuilds()-builds)
+		}
+		if step.check != nil && !step.check(next) {
+			t.Fatalf("after %s: the rebuilt report does not show it", step.name)
+		}
+		rep = next
+		cached("after "+step.name, rep)
+	}
+
+	if err := a.Ingest(stream.Batch{Session: "s", Process: "p", Period: 2000}); err == nil {
+		t.Fatal("a batch with the wrong period was accepted")
+	}
+	cached("after a rejected batch", rep)
+
+	ingest(stream.Batch{Session: "other", Process: "q", Period: 1000})
+	multi := report()
+	if multi == rep {
+		t.Fatal("a second process's first batch did not force a rebuild")
+	}
+	cached("on the multi-process path", multi)
+
+	// Readers share whichever report is cached while batches land; once
+	// ingest stops, the next read covers every batch.
+	var readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if rep, err := a.Report(); err != nil {
+					t.Error(err)
+					return
+				} else if len(rep.Ranking) == 0 {
+					t.Error("a report read during ingest ranks nothing")
+					return
+				}
+			}
+		}()
+	}
+	want := multi.NumSamples
+	for i := 0; i < 30; i++ {
+		b := synthBatch("s", 2, 2, 3)
+		b.Objects = nil
+		ingest(b)
+		want += 6
+	}
+	close(done)
+	readers.Wait()
+	if got := report().NumSamples; got != want {
+		t.Errorf("after concurrent reads: report covers %d samples, want %d", got, want)
 	}
 }
