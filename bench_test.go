@@ -226,7 +226,7 @@ func BenchmarkAblationGCDAdjacentVsPairwise(b *testing.B) {
 				if a[i] > a[j] {
 					d = a[i] - a[j]
 				}
-				g = profile.GCD64(g, d)
+				g = stride.GCD(g, d)
 			}
 		}
 		return g

@@ -48,8 +48,9 @@ type Violation struct {
 // maxStoredViolations caps the detail list; the count keeps running.
 const maxStoredViolations = 16
 
-// Observer checks every access against the analysis claims. It is not
-// parallel-safe, so multi-core phases run on the interleaved engine.
+// Observer checks every access against the analysis claims. It reads
+// machine state as each access happens, so the machine times the run
+// inline.
 type Observer struct {
 	a       *Analysis
 	space   *mem.Space

@@ -20,6 +20,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/prog"
 	"repro/internal/staticlint"
+	"repro/internal/stride"
 )
 
 // maxProgramSweeps bounds the whole-program outer fixpoint; cfg.Solve
@@ -209,7 +210,7 @@ func locOverlap(c1 int64, m1, s1 uint64, c2 int64, m2, s2 uint64) bool {
 	if g == 0 {
 		g = m2
 	} else if m2 != 0 {
-		g = gcd64(m1, m2)
+		g = stride.GCD(m1, m2)
 	}
 	if s1+s2 >= g {
 		return true

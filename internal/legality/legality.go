@@ -208,23 +208,6 @@ func (a *Analysis) buildObjectTable(p *prog.Program) {
 	}
 }
 
-// ForGlobal returns the verdict for a typed global, or nil.
-func (a *Analysis) ForGlobal(gi int) *ObjectVerdict {
-	if gi < 0 || gi >= len(a.objOfGlobal) {
-		return nil
-	}
-	return a.verdictOf[a.objOfGlobal[gi]]
-}
-
-// ForAlloc returns the verdict for a typed allocation site, or nil.
-func (a *Analysis) ForAlloc(ip uint64) *ObjectVerdict {
-	id, ok := a.objOfAlloc[ip]
-	if !ok {
-		return nil
-	}
-	return a.verdictOf[id]
-}
-
 // where renders an IP as file:line.
 func (a *Analysis) where(ip uint64) string {
 	if file, line := a.Program.LineOf(ip); file != "" {

@@ -1,6 +1,10 @@
 package legality
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/stride"
+)
 
 // value.go is the abstract domain of the provenance pass: each register
 // holds a *provenance + congruence* value — the set of data objects a
@@ -147,7 +151,7 @@ func congJoin(c1 int64, m1 uint64, c2 int64, m2 uint64) (int64, uint64) {
 	if int64(d) < 0 {
 		d = -d
 	}
-	m := gcd64(gcd64(m1, m2), d)
+	m := stride.GCD(stride.GCD(m1, m2), d)
 	if m == 0 {
 		return c1, 0
 	}
@@ -174,7 +178,7 @@ func addVals(a, b value) value {
 	if a.m == 0 && b.m == 0 {
 		v.c = a.c + b.c
 	} else {
-		v.m = gcd64(a.m, b.m)
+		v.m = stride.GCD(a.m, b.m)
 		v.c = a.c + b.c
 	}
 	return v.canon()
@@ -193,7 +197,7 @@ func subVals(a, b value) value {
 	if a.m == 0 && b.m == 0 {
 		v.c = a.c - b.c
 	} else {
-		v.m = gcd64(a.m, b.m)
+		v.m = stride.GCD(a.m, b.m)
 		v.c = a.c - b.c
 	}
 	return v.canon()
@@ -216,7 +220,7 @@ func mulVals(a, b value) value {
 	if !ok1 || !ok2 || !ok3 || !okp {
 		return unknown()
 	}
-	g := gcd64(gcd64(abs64u(t1), abs64u(t2)), abs64u(t3))
+	g := stride.GCD(stride.GCD(abs64u(t1), abs64u(t2)), abs64u(t3))
 	if g == 0 {
 		return exact(p)
 	}
@@ -233,13 +237,6 @@ func mulOverflows(a, b int64) (int64, bool) {
 		return 0, false
 	}
 	return p, true
-}
-
-func gcd64(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 func abs64u(v int64) uint64 {

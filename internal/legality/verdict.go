@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/prog"
+	"repro/internal/stride"
 )
 
 // fieldIdxAt returns the index of the field covering byte `off`, or -1
@@ -42,7 +43,7 @@ func footMask(st *prog.StructType, r resid, size uint8) (mask uint64, spanning, 
 	if r.m == 0 {
 		d = s // a single start: c mod S
 	} else {
-		d = gcd64(r.m, s)
+		d = stride.GCD(r.m, s)
 	}
 	if d == 1 {
 		return 0, false, true

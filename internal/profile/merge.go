@@ -38,30 +38,6 @@ func ReduceThreadProfiles(tps []*ThreadProfile, workers int) (*Profile, error) {
 		}
 	}
 
-	return reduceRounds(leaves, sem)
-}
-
-// MergeTree combines already-merged profiles with the same parallel
-// reduction tree ReduceThreadProfiles uses for thread profiles: profiles
-// are paired off and merged concurrently, halving the population each
-// round. The inputs must come from threads of one process (shared object
-// table, agreeing periods); use MergeProcessProfiles for cross-process
-// aggregation. A single input is returned as-is (no copy). The streaming
-// service uses this to fold per-session snapshots into one live profile.
-func MergeTree(ps []*Profile, workers int) (*Profile, error) {
-	if len(ps) == 0 {
-		return nil, fmt.Errorf("no profiles to merge")
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-	leaves := append([]*Profile(nil), ps...)
-	return reduceRounds(leaves, make(chan struct{}, workers))
-}
-
-// reduceRounds runs the reduction rounds over leaves, bounding merge
-// concurrency with sem. The leaves slice is consumed.
-func reduceRounds(leaves []*Profile, sem chan struct{}) (*Profile, error) {
 	for len(leaves) > 1 {
 		next := make([]*Profile, (len(leaves)+1)/2)
 		nerrs := make([]error, len(next))

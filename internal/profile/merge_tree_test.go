@@ -91,61 +91,3 @@ func TestReduceErrorPropagation(t *testing.T) {
 		}
 	}
 }
-
-func TestMergeTreeEmpty(t *testing.T) {
-	if _, err := MergeTree(nil, 2); err == nil {
-		t.Error("MergeTree(nil) should error")
-	}
-}
-
-func TestMergeTreeSingle(t *testing.T) {
-	p, err := MergeThreadProfiles([]*ThreadProfile{synthTP(0, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeTree([]*Profile{p}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Error("single-input MergeTree should return the input as-is")
-	}
-}
-
-func TestMergeTreeMatchesReduce(t *testing.T) {
-	// Lifting each thread profile to a leaf and MergeTree-ing them must
-	// equal the one-shot reduction — including odd leaf counts.
-	for _, n := range []int{2, 3, 5} {
-		tps := make([]*ThreadProfile, n)
-		leaves := make([]*Profile, n)
-		for i := range tps {
-			tps[i] = synthTP(i, 9)
-			var err error
-			leaves[i], err = MergeThreadProfiles([]*ThreadProfile{tps[i]})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := MergeTree(leaves, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ReduceThreadProfiles(tps, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: MergeTree over leaves differs from ReduceThreadProfiles", n)
-		}
-	}
-}
-
-func TestMergeTreeErrorPropagation(t *testing.T) {
-	a, _ := MergeThreadProfiles([]*ThreadProfile{synthTP(0, 6)})
-	b, _ := MergeThreadProfiles([]*ThreadProfile{synthTP(1, 6)})
-	c, _ := MergeThreadProfiles([]*ThreadProfile{synthTP(2, 6)})
-	b.Period = 123
-	if _, err := MergeTree([]*Profile{a, b, c}, 2); err == nil {
-		t.Error("mismatched period leaf should fail MergeTree")
-	}
-}

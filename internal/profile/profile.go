@@ -8,6 +8,8 @@ package profile
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/stride"
 )
 
 // Sample is one address sample: exactly the fields PEBS-LL delivers (IP,
@@ -87,7 +89,7 @@ func (s *StreamStat) Observe(ea uint64, latency uint32, write bool, objID int32)
 		} else {
 			d = s.LastEA - ea
 		}
-		s.GCD = gcd64(s.GCD, d)
+		s.GCD = stride.GCD(s.GCD, d)
 	}
 	s.LastEA = ea
 	s.Count++
@@ -96,16 +98,6 @@ func (s *StreamStat) Observe(ea uint64, latency uint32, write bool, objID int32)
 		s.Writes++
 	}
 }
-
-func gcd64(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// GCD64 exposes the profiler's gcd for reuse by analyses.
-func GCD64(a, b uint64) uint64 { return gcd64(a, b) }
 
 // ThreadProfile is what one thread's profiler writes at program end. Per
 // the paper's scalable design, threads fill these without any
@@ -243,7 +235,7 @@ func mergeStream(dst, src *StreamStat) {
 	// streams that saw fewer than two distinct addresses in one thread).
 	// dst keeps its own FirstEA anchor; any sample of the stream works
 	// for the offset computation.
-	dst.GCD = gcd64(dst.GCD, src.GCD)
+	dst.GCD = stride.GCD(dst.GCD, src.GCD)
 }
 
 // MergeFrom folds src into s with the cross-thread merge semantics of

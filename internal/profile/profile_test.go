@@ -3,36 +3,9 @@ package profile
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/stride"
 )
-
-func TestGCD64(t *testing.T) {
-	cases := []struct{ a, b, want uint64 }{
-		{0, 0, 0}, {0, 5, 5}, {5, 0, 5}, {48, 32, 16}, {16, 48, 16},
-		{7, 13, 1}, {56, 56, 56}, {24, 36, 12},
-	}
-	for _, c := range cases {
-		if got := GCD64(c.a, c.b); got != c.want {
-			t.Errorf("gcd(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestGCDProperties(t *testing.T) {
-	// gcd divides both operands and is commutative.
-	f := func(a, b uint64) bool {
-		a %= 1 << 32
-		b %= 1 << 32
-		g := GCD64(a, b)
-		if g == 0 {
-			return a == 0 && b == 0
-		}
-		return a%g == 0 && b%g == 0 && g == GCD64(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestStreamObserveGCD(t *testing.T) {
 	// Samples at Arr[2].a, Arr[5].a, Arr[7].a of a 16-byte struct: deltas
@@ -143,8 +116,8 @@ func TestMergeThreadProfiles(t *testing.T) {
 	if st.Count != 4 {
 		t.Errorf("count = %d", st.Count)
 	}
-	if st.GCD != GCD64(0x30, 0x20) {
-		t.Errorf("merged GCD = %d, want %d", st.GCD, GCD64(0x30, 0x20))
+	if st.GCD != stride.GCD(0x30, 0x20) {
+		t.Errorf("merged GCD = %d, want %d", st.GCD, stride.GCD(0x30, 0x20))
 	}
 	// Samples sorted by cycle.
 	for i := 1; i < len(p.Samples); i++ {

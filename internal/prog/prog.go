@@ -189,15 +189,6 @@ func (p *Program) InstrAt(ip uint64) *isa.Instr {
 	return &p.Funcs[loc.Fn].Blocks[loc.Block].Instrs[loc.Index]
 }
 
-// FuncOf returns the function containing the given IP, or nil.
-func (p *Program) FuncOf(ip uint64) *Func {
-	loc, ok := p.Loc(ip)
-	if !ok {
-		return nil
-	}
-	return p.Funcs[loc.Fn]
-}
-
 // LineOf returns the synthetic source line of the instruction at ip, and
 // the file of its function. Returns ("", 0) for unknown IPs.
 func (p *Program) LineOf(ip uint64) (file string, line int32) {

@@ -58,9 +58,6 @@ func New(workers int) *Pool {
 	}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return cap(p.sem) }
-
 // Stats reports how many jobs ran and how many submissions were answered
 // without running (cache hits plus in-flight joins).
 func (p *Pool) Stats() (started, deduped uint64) {

@@ -108,9 +108,9 @@ type Analysis struct {
 	// the iteration budget; all their streams are Unresolved.
 	UnanalyzedFns []int
 
-	// Reuse is the static reuse-distance prediction, populated by
-	// PredictReuse (nil until then).
-	Reuse *ReusePrediction
+	// funcs holds each function's solved dataflow, indexed by function
+	// id, for the reuse planner to walk.
+	funcs []*funcAnalysis
 }
 
 // basicIV is a detected loop induction variable: within its loop, reg is
@@ -131,7 +131,7 @@ func AnalyzeProgram(p *prog.Program) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Program: p, Loops: loops}
+	a := &Analysis{Program: p, Loops: loops, funcs: make([]*funcAnalysis, len(p.Funcs))}
 	called := calledFuncs(p)
 	for _, f := range p.Funcs {
 		fa := newFuncAnalysis(p, f, loops.Forests[f.ID])
@@ -140,6 +140,7 @@ func AnalyzeProgram(p *prog.Program) (*Analysis, error) {
 			a.UnanalyzedFns = append(a.UnanalyzedFns, f.ID)
 		}
 		a.Streams = append(a.Streams, fa.predictions(loops)...)
+		a.funcs[f.ID] = fa
 	}
 	sort.Slice(a.Streams, func(i, j int) bool { return a.Streams[i].IP < a.Streams[j].IP })
 	a.aggregateObjects()
@@ -546,7 +547,7 @@ func (fa *funcAnalysis) predictStream(in *isa.Instr, block int, st []expr, loops
 	var g uint64
 	outsideTerm := false
 	for iv, c := range ea.terms {
-		g = gcd64(g, abs64(c))
+		g = stride.GCD(g, abs64(c))
 		if !encSet[iv] {
 			outsideTerm = true
 		}
@@ -675,34 +676,6 @@ func (sp *StreamPred) BaseOf() (BaseObject, bool) {
 	return BaseObject{}, false
 }
 
-// OffsetResidue reduces an Exact stream's address template to the
-// congruence class of element offsets it can touch inside a structure of
-// the given size: every effective address of the stream satisfies
-// (EA - base) mod structSize ≡ off (mod m), where m divides structSize.
-// m == 0 means the stream touches exactly one offset (loop-invariant
-// address, or all loop coefficients are multiples of the size). ok is
-// false for non-Exact streams, whose base and displacement are not
-// trustworthy. The legality pass uses this to map each attributed access
-// onto a per-field footprint.
-func (sp *StreamPred) OffsetResidue(structSize uint64) (off, m uint64, ok bool) {
-	if sp.Confidence != Exact || structSize == 0 {
-		return 0, 0, false
-	}
-	if _, resolved := sp.BaseOf(); !resolved {
-		return 0, 0, false
-	}
-	// Stride is the GCD of the loop coefficients; offsets therefore lie
-	// in Disp + Stride·Z, which reduces to a class mod gcd(Stride, size).
-	m = gcd64(sp.Stride, structSize)
-	if m == structSize {
-		m = 0 // every reachable offset lands on the same element offset
-	}
-	if m == 0 {
-		return umod(sp.Disp, structSize), 0, true
-	}
-	return umod(sp.Disp, m), m, true
-}
-
 // StreamAt returns the prediction for the memory instruction at ip, or
 // nil.
 func (a *Analysis) StreamAt(ip uint64) *StreamPred {
@@ -711,13 +684,6 @@ func (a *Analysis) StreamAt(ip uint64) *StreamPred {
 		return a.Streams[i]
 	}
 	return nil
-}
-
-func gcd64(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 func abs64(v int64) uint64 {

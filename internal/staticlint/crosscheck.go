@@ -198,7 +198,7 @@ func CrossCheck(a *Analysis, p *profile.Profile, minSamples uint64) *CrossReport
 			dyn[dk] = ms
 		}
 		ms.count += stat.Count
-		ms.gcd = profile.GCD64(ms.gcd, stat.GCD)
+		ms.gcd = stride.GCD(ms.gcd, stat.GCD)
 		ms.anchors = append(ms.anchors, anchor{ctx: key.Ctx, firstEA: stat.FirstEA, objID: stat.FirstObjID})
 		if stat.Count >= minSamples && stat.GCD >= stride.MinMeaningfulStride {
 			votes[key.Identity] = append(votes[key.Identity], stat.GCD)

@@ -7,27 +7,26 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/prog"
-	"repro/internal/vm"
 )
 
-// plan.go recovers the *execution schedule* of a function from its binary
-// alone: which loops run, how many iterations each performs, and the
-// exact program-order sequence of memory accesses with closed-form
+// plan.go recovers the *execution schedule* of a loop nest from the
+// binary alone: which loops run, how many iterations each performs, and
+// the exact program-order sequence of memory accesses with closed-form
 // effective addresses. It only succeeds on "exact tier" code — structured
 // reducible loops whose bounds are compile-time constants and whose
 // streams all resolve to global bases — which is precisely the class of
 // loop nests the static reuse predictor (reuse.go in this package) can
 // handle without simulation.
 //
-// The planner re-runs the affine dataflow of analyze.go and then walks
-// the CFG structurally: outside loops every block must have exactly one
-// successor; a loop is entered at its header, whose single conditional
-// branch `br.ge iv, bound -> exit` yields the trip count
-// ceil((bound−start)/step) from the converged in-state; loop bodies are
-// walked the same way until the back edge. Any shape outside this
-// grammar (irreducible loops, data-dependent branches, calls, heap
-// allocation, unresolved addresses) makes the function ineligible, with
-// the reason recorded.
+// The planner reads the converged register states AnalyzeProgram solved
+// for the function and walks the CFG structurally: a loop is entered at
+// its header, whose single conditional branch `br.ge iv, bound -> exit`
+// yields the trip count ceil((bound−start)/step) from the converged
+// in-state; inside a loop body every block must have exactly one
+// successor, and the walk follows it until the back edge. Any shape
+// outside this grammar (irreducible loops, data-dependent branches,
+// calls, heap allocation, unresolved addresses) makes the nest
+// ineligible, with the reason recorded.
 
 // AccessTpl is one memory instruction inside a plan, with its effective
 // address in closed form: EA = GlobalBase(GlobalIx) + Disp + Σ Coeff[d]·k[d]
@@ -46,19 +45,13 @@ type AccessTpl struct {
 	// the access's enclosing path, outermost first.
 	Coeff []int64
 
-	// LoopKey is the innermost enclosing loop (cfg.LoopKey), 0 outside
-	// loops.
+	// LoopKey is the innermost enclosing loop (cfg.LoopKey).
 	LoopKey uint64
 }
 
-// PlanItem is one step of a plan in program order: either a run of
-// non-memory instructions (cost only), a memory access, or a nested loop.
+// PlanItem is one step of a plan in program order: a memory access or a
+// nested loop.
 type PlanItem struct {
-	// Instrs/Cycles of plain instructions executed before the next access
-	// or loop (cost-only item when Access and Loop are nil).
-	Instrs uint64
-	Cycles uint64
-
 	Access *AccessTpl
 	Loop   *LoopPlan
 }
@@ -70,33 +63,12 @@ type LoopPlan struct {
 	Trips int64
 	Depth int // index into the iteration vector (outermost enclosing = 0)
 
-	// Head is the per-iteration header cost (the bound check); it runs
-	// Trips+1 times: once per iteration plus the final failing check.
-	HeadInstrs uint64
-	HeadCycles uint64
-
 	Body []PlanItem
 
 	exit int // block executed after the loop
 }
 
-// FnPlan is the full schedule of one function, entry to Halt.
-type FnPlan struct {
-	FnID     int
-	FnName   string
-	Eligible bool
-	Reason   string
-
-	Items []PlanItem
-
-	// Accesses / Instrs / Cycles are the exact totals of one execution
-	// (cycles excluding memory latency, which depends on the hierarchy).
-	Accesses uint64
-	Instrs   uint64
-	Cycles   uint64
-}
-
-// planner carries the walk state for one function.
+// planner carries the walk state for one loop nest.
 type planner struct {
 	a  *Analysis
 	fa *funcAnalysis
@@ -105,74 +77,21 @@ type planner struct {
 	path    []*LoopPlan // enclosing loop stack, outermost first
 }
 
-// PlanFunction builds the execution plan of one function. The returned
-// plan is always non-nil; Eligible is false (with Reason) when the
-// function falls outside the exact tier.
-func PlanFunction(a *Analysis, fnID int) *FnPlan {
-	f := a.Program.Funcs[fnID]
-	plan := &FnPlan{FnID: fnID, FnName: f.Name}
-	fa := newFuncAnalysis(a.Program, f, a.Loops.Forests[fnID])
-	if !fa.solve() {
-		plan.Reason = "dataflow did not converge"
-		return plan
-	}
-	pl := &planner{a: a, fa: fa, visited: make(map[int]bool)}
-	items, err := pl.walk(0, -1)
-	if err != nil {
-		plan.Reason = err.Error()
-		return plan
-	}
-	plan.Items = items
-	plan.Eligible = true
-	plan.Accesses, plan.Instrs, plan.Cycles = tallyItems(items)
-	return plan
-}
-
-// tallyItems sums one execution of an item sequence.
-func tallyItems(items []PlanItem) (accesses, instrs, cycles uint64) {
-	for i := range items {
-		it := &items[i]
-		switch {
-		case it.Access != nil:
-			accesses++
-			instrs++
-			cycles += vm.CostOf(isa.Load) // Load and Store both cost 1
-		case it.Loop != nil:
-			la, li, lc := tallyItems(it.Loop.Body)
-			t := uint64(it.Loop.Trips)
-			accesses += la * t
-			instrs += (li+it.Loop.HeadInstrs)*t + it.Loop.HeadInstrs
-			cycles += (lc+it.Loop.HeadCycles)*t + it.Loop.HeadCycles
-		default:
-			instrs += it.Instrs
-			cycles += it.Cycles
-		}
-	}
-	return
-}
-
-// walk traverses from block b until the function halts (lid < 0) or the
-// back edge of loop lid is taken, returning the program-order items.
+// walk traverses the body of loop lid from block b until its back edge is
+// taken, returning the program-order items.
 func (pl *planner) walk(b int, lid int) ([]PlanItem, error) {
 	fa := pl.fa
+	header := fa.forest.Loops[lid].Header
 	var items []PlanItem
-	var cost PlanItem
-	flush := func() {
-		if cost.Instrs > 0 {
-			items = append(items, cost)
-			cost = PlanItem{}
-		}
-	}
 	for {
-		if hl := fa.headerLoop(b); hl >= 0 && (lid < 0 || hl != lid) {
-			flush()
+		if hl := fa.headerLoop(b); hl >= 0 && hl != lid {
 			lp, err := pl.planLoop(hl)
 			if err != nil {
 				return nil, err
 			}
 			items = append(items, PlanItem{Loop: lp})
 			b = lp.exit
-			if lid >= 0 && !fa.blockIn[lid][b] {
+			if !fa.blockIn[lid][b] {
 				return nil, fmt.Errorf("block %d: loop exit escapes the enclosing loop", b)
 			}
 			continue
@@ -181,7 +100,7 @@ func (pl *planner) walk(b int, lid int) ([]PlanItem, error) {
 			return nil, fmt.Errorf("block %d revisited outside a recognized loop", b)
 		}
 		pl.visited[b] = true
-		if lid >= 0 && !fa.blockIn[lid][b] {
+		if !fa.blockIn[lid][b] {
 			return nil, fmt.Errorf("block %d escapes loop body", b)
 		}
 
@@ -195,43 +114,28 @@ func (pl *planner) walk(b int, lid int) ([]PlanItem, error) {
 				if err != nil {
 					return nil, err
 				}
-				flush()
 				items = append(items, PlanItem{Access: tpl})
 			case isa.Call, isa.Ret, isa.Alloc:
 				return nil, fmt.Errorf("%s at %#x: not analyzable without simulation", in.Op, in.IP)
 			case isa.Halt:
-				if lid >= 0 {
-					return nil, fmt.Errorf("halt inside loop body at %#x", in.IP)
-				}
-				cost.Instrs++
-				cost.Cycles += vm.CostOf(in.Op)
-				flush()
-				return items, nil
+				return nil, fmt.Errorf("halt inside loop body at %#x", in.IP)
 			case isa.Jmp:
-				cost.Instrs++
-				cost.Cycles += vm.CostOf(in.Op)
-				if lid >= 0 && in.Target == fa.forest.Loops[lid].Header {
-					flush()
+				if in.Target == header {
 					return items, nil // back edge: iteration complete
 				}
 				b = in.Target
 			case isa.Br:
 				return nil, fmt.Errorf("conditional branch at %#x outside a counted-loop header", in.IP)
-			default:
-				cost.Instrs++
-				cost.Cycles += vm.CostOf(in.Op)
 			}
 			fa.transfer(in, st)
 			if in.Op == isa.Jmp {
 				break
 			}
 		}
-		last := &blk.Instrs[len(blk.Instrs)-1]
-		if last.Op != isa.Jmp {
+		if blk.Instrs[len(blk.Instrs)-1].Op != isa.Jmp {
 			// Fallthrough.
 			b++
-			if lid >= 0 && b == fa.forest.Loops[lid].Header {
-				flush()
+			if b == header {
 				return items, nil // fallthrough back edge
 			}
 			if b >= len(fa.f.Blocks) {
@@ -278,12 +182,8 @@ func (pl *planner) planLoop(lid int) (*LoopPlan, error) {
 		case isa.Load, isa.Store, isa.Call, isa.Ret, isa.Alloc, isa.Jmp, isa.Br, isa.Halt:
 			return nil, fmt.Errorf("loop header block %d contains %s", l.Header, in.Op)
 		}
-		lp.HeadInstrs++
-		lp.HeadCycles += vm.CostOf(in.Op)
 		fa.transfer(in, st)
 	}
-	lp.HeadInstrs++
-	lp.HeadCycles += vm.CostOf(isa.Br)
 
 	trips, err := tripCount(fa, lid, br, st)
 	if err != nil {
@@ -343,6 +243,9 @@ func (pl *planner) accessTemplate(in *isa.Instr, st []expr) (*AccessTpl, error) 
 	if sp := pl.a.StreamAt(in.IP); sp == nil || sp.Confidence != Exact {
 		return nil, fmt.Errorf("access at %#x: stream is not exact tier", in.IP)
 	}
+	// An exact stream's address uses only counters of the loops enclosing
+	// it (predictStream demotes a loop-exit value to a hint), so the path
+	// covers every term of the address.
 	tpl := &AccessTpl{
 		IP:       in.IP,
 		Size:     in.Size,
@@ -350,25 +253,10 @@ func (pl *planner) accessTemplate(in *isa.Instr, st []expr) (*AccessTpl, error) 
 		GlobalIx: ea.base.Global,
 		Disp:     ea.c,
 		Coeff:    make([]int64, len(pl.path)),
-	}
-	if n := len(pl.path); n > 0 {
-		tpl.LoopKey = pl.path[n-1].Key
+		LoopKey:  pl.path[len(pl.path)-1].Key,
 	}
 	for d, lp := range pl.path {
 		tpl.Coeff[d] = ea.coeff(ivRef{Fn: pl.fa.f.ID, Header: headerOfKey(lp.Key)})
-	}
-	// Every κ term of the address must belong to an enclosing loop.
-	for iv := range ea.terms {
-		onPath := false
-		for _, lp := range pl.path {
-			if iv.Fn == pl.fa.f.ID && iv.Header == headerOfKey(lp.Key) {
-				onPath = true
-				break
-			}
-		}
-		if !onPath {
-			return nil, fmt.Errorf("access at %#x: address uses a loop-exit value", in.IP)
-		}
 	}
 	return tpl, nil
 }

@@ -2,6 +2,7 @@ package staticlint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -149,8 +150,8 @@ type SkippedNest struct {
 	Reason string
 }
 
-// ReusePrediction is the whole-program static reuse analysis, attached to
-// an Analysis by PredictReuse.
+// ReusePrediction is the whole-program static reuse analysis PredictReuse
+// returns.
 type ReusePrediction struct {
 	Program  string
 	LineSize uint64
@@ -158,16 +159,6 @@ type ReusePrediction struct {
 
 	Nests   []*NestPrediction
 	Skipped []SkippedNest
-}
-
-// NestAt returns the prediction for the nest with the given loop key.
-func (rp *ReusePrediction) NestAt(key uint64) *NestPrediction {
-	for _, np := range rp.Nests {
-		if np.Key == key {
-			return np
-		}
-	}
-	return nil
 }
 
 // maxSimObservations bounds the explicit walk per nest; nests that reach
@@ -190,33 +181,31 @@ const minSteadyWindow = 64
 const maxPeriod = 64
 
 // PredictReuse runs the static reuse predictor over every outermost loop
-// nest of the program against the given hierarchy, attaches the result
-// to the analysis, and returns it.
-func PredictReuse(a *Analysis, cfg cache.Config) *ReusePrediction {
+// nest of the program against the given hierarchy. It plans each nest
+// from the dataflow AnalyzeProgram already solved.
+func PredictReuse(a *Analysis, cacheCfg cache.Config) *ReusePrediction {
 	rp := &ReusePrediction{
 		Program:  a.Program.Name,
-		LineSize: uint64(cfg.LineSize),
+		LineSize: uint64(cacheCfg.LineSize),
 	}
-	for _, lv := range cfg.Levels {
+	for _, lv := range cacheCfg.Levels {
 		rp.Levels = append(rp.Levels, LevelCap{
 			Name:    lv.Name,
-			Lines:   uint64(lv.Size) / uint64(cfg.LineSize),
+			Lines:   uint64(lv.Size) / uint64(cacheCfg.LineSize),
 			Latency: lv.Latency,
 		})
 	}
 	bases := GlobalBases(a.Program)
 
-	for _, f := range a.Program.Funcs {
-		forest := a.Loops.Forests[f.ID]
-		fa := newFuncAnalysis(a.Program, f, forest)
-		converged := fa.solve()
-		for lid, l := range forest.Loops {
+	for _, fa := range a.funcs {
+		f := fa.f
+		for lid, l := range fa.forest.Loops {
 			if l.Parent != -1 {
 				continue // only outermost nests
 			}
-			key := cfg2key(f.ID, l.Header)
+			key := cfg.LoopKey(f.ID, l.Header)
 			info := a.Loops.Info(key)
-			if !converged {
+			if !fa.converged {
 				rp.Skipped = append(rp.Skipped, SkippedNest{Key: key, Info: info, FnID: f.ID, Reason: "dataflow did not converge"})
 				continue
 			}
@@ -236,13 +225,8 @@ func PredictReuse(a *Analysis, cfg cache.Config) *ReusePrediction {
 	}
 	sort.Slice(rp.Nests, func(i, j int) bool { return rp.Nests[i].Key < rp.Nests[j].Key })
 	sort.Slice(rp.Skipped, func(i, j int) bool { return rp.Skipped[i].Key < rp.Skipped[j].Key })
-	a.Reuse = rp
 	return rp
 }
-
-// cfg2key mirrors cfg.LoopKey without re-importing it under a name that
-// collides with the cache config parameter.
-func cfg2key(fnID, header int) uint64 { return uint64(fnID+1)<<32 | uint64(uint32(header)) }
 
 // nestTally is the mutable accumulator state of one nest walk; snapshots
 // of its counters form the per-iteration deltas for period detection.
@@ -501,7 +485,7 @@ func findPeriod(deltas [][]uint64) int {
 		for blk := 2; blk <= blocks && ok; blk++ {
 			cmp := deltas[n-p*blk : n-p*(blk-1)]
 			for i := range base {
-				if !u64Equal(base[i], cmp[i]) {
+				if !slices.Equal(base[i], cmp[i]) {
 					ok = false
 					break
 				}
@@ -512,16 +496,4 @@ func findPeriod(deltas [][]uint64) int {
 		}
 	}
 	return 0
-}
-
-func u64Equal(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package staticlint
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -54,32 +55,34 @@ func matVecTrace(p *prog.Program, rows, cols int64, lineSize uint64) []uint64 {
 	return trace
 }
 
-func TestPlanFunctionMatVec(t *testing.T) {
+// TestPlanNestMatVec plans the matvec nest as PredictReuse does, from
+// the analysis's solved states, and checks both trip counts, the inner
+// loop's depth, and one access template per load and store of the inner
+// body.
+func TestPlanNestMatVec(t *testing.T) {
 	const rows, cols = 37, 50
 	p := buildMatVec(t, rows, cols)
 	a, err := AnalyzeProgram(p)
 	if err != nil {
 		t.Fatalf("AnalyzeProgram: %v", err)
 	}
-	plan := PlanFunction(a, p.EntryFn)
-	if !plan.Eligible {
-		t.Fatalf("plan ineligible: %s", plan.Reason)
-	}
-	if want := uint64(3 * rows * cols); plan.Accesses != want {
-		t.Fatalf("planned accesses = %d, want %d", plan.Accesses, want)
-	}
-	// One top-level loop item with one nested loop.
-	var outer *LoopPlan
-	for i := range plan.Items {
-		if plan.Items[i].Loop != nil {
-			if outer != nil {
-				t.Fatalf("multiple top-level loops")
+	fa := a.funcs[p.EntryFn]
+	nest := -1
+	for lid, l := range fa.forest.Loops {
+		if l.Parent == -1 {
+			if nest >= 0 {
+				t.Fatalf("multiple outermost loops")
 			}
-			outer = plan.Items[i].Loop
+			nest = lid
 		}
 	}
-	if outer == nil || outer.Trips != rows {
-		t.Fatalf("outer loop trips = %v, want %d", outer, rows)
+	pl := &planner{a: a, fa: fa, visited: make(map[int]bool)}
+	outer, err := pl.planLoop(nest)
+	if err != nil {
+		t.Fatalf("nest ineligible: %v", err)
+	}
+	if outer.Trips != rows {
+		t.Fatalf("outer loop trips = %d, want %d", outer.Trips, rows)
 	}
 	var inner *LoopPlan
 	for i := range outer.Body {
@@ -89,6 +92,17 @@ func TestPlanFunctionMatVec(t *testing.T) {
 	}
 	if inner == nil || inner.Trips != cols || inner.Depth != 1 {
 		t.Fatalf("inner loop = %+v", inner)
+	}
+	// x = m[i][j]; y = v[j]; m[i][j] = x+y.
+	want := [][]int64{{cols * 8, 8}, {0, 8}, {cols * 8, 8}}
+	var got [][]int64
+	for i := range inner.Body {
+		if tpl := inner.Body[i].Access; tpl != nil {
+			got = append(got, tpl.Coeff)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("access template coefficients = %v, want %v", got, want)
 	}
 }
 
@@ -104,9 +118,6 @@ func TestPredictReuseMatchesTrace(t *testing.T) {
 	}
 	cfg := cache.DefaultConfig()
 	rp := PredictReuse(a, cfg)
-	if a.Reuse != rp {
-		t.Fatalf("prediction not attached to the analysis")
-	}
 	if len(rp.Skipped) != 0 {
 		t.Fatalf("skipped nests: %+v", rp.Skipped)
 	}

@@ -23,7 +23,7 @@
 //     finds it takes no session lock, and callers must not modify it;
 //   - Snapshot: a materialized profile.Profile, produced by lifting each
 //     session to a thread profile and reusing the reduction-tree merge
-//     (profile.MergeTree) and, across processes,
+//     (profile.ReduceThreadProfiles) and, across processes,
 //     profile.MergeProcessProfiles;
 //   - Live: a cheap online summary (l_d ranking, inferred sizes, per-
 //     stream strides with the Equation 4 confidence) computed without
@@ -104,8 +104,6 @@ type Config struct {
 	// unavailable. The online state still grows with the distinct cell
 	// keys, up to one cell per sample on irregular access patterns.
 	DropSamples bool
-	// MergeWorkers bounds snapshot merge parallelism.
-	MergeWorkers int
 	// Shards partitions sessions across independent shard locks by an
 	// identity hash of the session id, so concurrent sessions never
 	// contend on a shared map lock in the ingest hot path. 0 or 1 keeps a
@@ -539,10 +537,11 @@ func (s *session) threadProfile() *profile.ThreadProfile {
 
 // Snapshot materializes the merged whole-program profile from the
 // retained per-session state: each session lifts to a thread profile,
-// sessions of one process fold through the reduction tree
-// (profile.MergeTree), and processes combine by data-centric identity
-// (profile.MergeProcessProfiles). The result is deep-equal to the batch
-// profiler's merged profile given the same complete event stream.
+// the thread profiles of one process fold through the reduction tree
+// (profile.ReduceThreadProfiles), and processes combine by data-centric
+// identity (profile.MergeProcessProfiles). The result is deep-equal to
+// the batch profiler's merged profile given the same complete event
+// stream.
 func (a *Analyzer) Snapshot() (*profile.Profile, error) {
 	if a.conf.DropSamples {
 		return nil, fmt.Errorf("stream: snapshot unavailable: sample retention is disabled")
@@ -552,23 +551,19 @@ func (a *Analyzer) Snapshot() (*profile.Profile, error) {
 		return nil, fmt.Errorf("stream: no sessions")
 	}
 	var procNames []string
-	byProc := make(map[string][]*profile.Profile)
+	byProc := make(map[string][]*profile.ThreadProfile)
 	for _, s := range sessions {
 		s.mu.Lock()
 		tp := s.threadProfile()
 		s.mu.Unlock()
-		leaf, err := profile.MergeThreadProfiles([]*profile.ThreadProfile{tp})
-		if err != nil {
-			return nil, err
-		}
 		if _, ok := byProc[s.process]; !ok {
 			procNames = append(procNames, s.process)
 		}
-		byProc[s.process] = append(byProc[s.process], leaf)
+		byProc[s.process] = append(byProc[s.process], tp)
 	}
 	perProc := make([]*profile.Profile, 0, len(procNames))
 	for _, proc := range procNames {
-		p, err := profile.MergeTree(byProc[proc], a.conf.MergeWorkers)
+		p, err := profile.ReduceThreadProfiles(byProc[proc], 0)
 		if err != nil {
 			return nil, err
 		}

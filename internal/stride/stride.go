@@ -10,8 +10,8 @@ import (
 	"sort"
 )
 
-// gcd64 is Euclid's algorithm.
-func gcd64(a, b uint64) uint64 {
+// GCD is Euclid's algorithm. GCD(0, x) = x, so a fold may start from 0.
+func GCD(a, b uint64) uint64 {
 	for b != 0 {
 		a, b = b, a%b
 	}
@@ -31,7 +31,7 @@ func OfAddresses(addrs []uint64) uint64 {
 		} else {
 			d = addrs[i-1] - addrs[i]
 		}
-		g = gcd64(g, d)
+		g = GCD(g, d)
 	}
 	return g
 }
@@ -54,7 +54,7 @@ func StructSize(strides []uint64) uint64 {
 		if s < MinMeaningfulStride {
 			continue
 		}
-		g = gcd64(g, s)
+		g = GCD(g, s)
 	}
 	return g
 }

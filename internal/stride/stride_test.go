@@ -6,6 +6,34 @@ import (
 	"testing/quick"
 )
 
+func TestGCD(t *testing.T) {
+	cases := []struct{ a, b, want uint64 }{
+		{0, 0, 0}, {0, 5, 5}, {5, 0, 5}, {48, 32, 16}, {16, 48, 16},
+		{7, 13, 1}, {56, 56, 56}, {24, 36, 12},
+	}
+	for _, c := range cases {
+		if got := GCD(c.a, c.b); got != c.want {
+			t.Errorf("gcd(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+func TestGCDProperties(t *testing.T) {
+	// gcd divides both operands and is commutative.
+	f := func(a, b uint64) bool {
+		a %= 1 << 32
+		b %= 1 << 32
+		g := GCD(a, b)
+		if g == 0 {
+			return a == 0 && b == 0
+		}
+		return a%g == 0 && b%g == 0 && g == GCD(b, a)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestOfAddressesPaperExample(t *testing.T) {
 	// Paper Section 4.2.2: samples Arr[2].a, Arr[5].a, Arr[7].a of a
 	// 16-byte struct → deltas 48, 32 → stride 16.

@@ -166,11 +166,6 @@ var opCost = func() [64]uint64 {
 	return c
 }()
 
-// CostOf exposes the instruction base cost (excluding memory latency) so
-// static execution plans can reproduce the interpreter's exact cycle
-// accounting without running it.
-func CostOf(op isa.Op) uint64 { return opCost[op] }
-
 // frame is a saved caller state for Call/Ret. The convention saves the
 // whole register file; r1 carries the return value through the restore.
 type frame struct {
