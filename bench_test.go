@@ -64,7 +64,7 @@ func benchmarkTable3(b *testing.B, name string) {
 	}
 	var r *tables.BenchResult
 	for i := 0; i < b.N; i++ {
-		r, err = tables.RunBenchmark(w, benchOpt())
+		r, err = tables.NewEngine(benchOpt()).RunBenchmark(w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func BenchmarkTable4CacheMissReductions(b *testing.B) {
 	var results []*tables.BenchResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		results, err = tables.RunPaperBenchmarks(benchOpt())
+		results, err = tables.NewEngine(benchOpt()).RunPaperBenchmarks()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkTable4CacheMissReductions(b *testing.B) {
 func BenchmarkTable5ARTFields(b *testing.B) {
 	var pShare float64
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.AnalyzeART(benchOpt())
+		sr, err := tables.NewEngine(benchOpt()).AnalyzeART()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkTable5ARTFields(b *testing.B) {
 func BenchmarkTable6ARTLoops(b *testing.B) {
 	var hotShare float64
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.AnalyzeART(benchOpt())
+		sr, err := tables.NewEngine(benchOpt()).AnalyzeART()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func benchmarkSuiteOverhead(b *testing.B, suite string) {
 	var points []tables.OverheadPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = tables.SuiteOverheads(suite, benchOpt())
+		points, err = tables.NewEngine(benchOpt()).SuiteOverheads(suite)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func BenchmarkFigure5SpecOverhead(b *testing.B) {
 func BenchmarkFigure6ARTAffinityGraph(b *testing.B) {
 	var aIU float64
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.AnalyzeART(benchOpt())
+		sr, err := tables.NewEngine(benchOpt()).AnalyzeART()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func BenchmarkFigure6ARTAffinityGraph(b *testing.B) {
 
 func benchmarkSplitFigure(b *testing.B, fig int) {
 	for i := 0; i < b.N; i++ {
-		if err := tables.SplitFigure(io.Discard, tables.FigureNumberFor[fig], benchOpt()); err != nil {
+		if err := tables.NewEngine(benchOpt()).SplitFigure(io.Discard, tables.FigureNumberFor[fig]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -550,7 +550,7 @@ func BenchmarkBaselines(b *testing.B) {
 	var rows []tables.BaselineRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = tables.BaselineComparison("art", benchOpt())
+		rows, err = tables.NewEngine(benchOpt()).BaselineComparison("art")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -567,8 +567,8 @@ func BenchmarkRobustness(b *testing.B) {
 	var rows []tables.RobustnessRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = tables.PeriodRobustness("art",
-			[]uint64{1000, 10_000, 100_000}, "P", "P", benchOpt())
+		rows, err = tables.NewEngine(benchOpt()).PeriodRobustness("art",
+			[]uint64{1000, 10_000, 100_000}, "P", "P")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -668,8 +668,8 @@ func BenchmarkRunnerParallel(b *testing.B) {
 			var buf bytes.Buffer
 			start := time.Now()
 			err := artifacts(&buf,
-				func() ([]*tables.BenchResult, error) { return tables.RunPaperBenchmarks(opt) },
-				func(w io.Writer, name string) error { return tables.SplitFigure(w, name, opt) })
+				func() ([]*tables.BenchResult, error) { return tables.NewEngine(opt).RunPaperBenchmarks() },
+				func(w io.Writer, name string) error { return tables.NewEngine(opt).SplitFigure(w, name) })
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -40,7 +40,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/profile"
-	"repro/internal/tables"
+	"repro/internal/prog"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 	"repro/structslim"
@@ -250,19 +250,48 @@ func runProfile(args []string, out io.Writer) error {
 	}
 
 	if *optimize {
-		if w.Record() == nil {
-			return fmt.Errorf("workload %s has no record to optimize", w.Name())
-		}
-		r, err := tables.RunBenchmark(w, tables.Options{Scale: sc, SamplePeriod: *period, Seed: *seed})
+		return applyAdvice(out, w, sc, rep, opt)
+	}
+	return nil
+}
+
+// applyAdvice builds the hot record's layout from the printed report's
+// advice, times the original and the split program without the
+// profiler, and prints the speedup and per-level miss reductions.
+func applyAdvice(out io.Writer, w workloads.Workload, sc workloads.Scale, rep *core.Report, opt structslim.Options) error {
+	rec := w.Record()
+	if rec == nil {
+		return fmt.Errorf("workload %s has no record to optimize", w.Name())
+	}
+	sr := structslim.FindStruct(rep, rec.Name)
+	if sr == nil {
+		return fmt.Errorf("%s: hot record %s not identified", w.Name(), rec.Name)
+	}
+	layout, err := structslim.Optimize(rec, sr)
+	if err != nil {
+		return err
+	}
+	var st [2]vm.Stats
+	for i, l := range []*prog.PhysLayout{nil, layout} {
+		p, phases, err := w.Build(l, sc)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\nOptimization (advice applied automatically):\n")
-		fmt.Fprintf(out, "  layout: %v\n", r.SplitLayout)
-		fmt.Fprintf(out, "  cycles: %d → %d  (speedup %.2fx)\n", r.OrigCycles, r.SplitCycles, r.Speedup)
-		for _, lvl := range []string{"L1", "L2", "L3"} {
-			fmt.Fprintf(out, "  %s miss reduction: %.1f%%\n", lvl, r.MissReduction(lvl))
+		if st[i], err = structslim.Run(p, phases, opt); err != nil {
+			return err
 		}
+	}
+	orig, split := st[0].AppWallCycles, st[1].AppWallCycles
+	fmt.Fprintf(out, "\nOptimization (advice applied automatically):\n")
+	fmt.Fprintf(out, "  layout: %v\n", layout)
+	fmt.Fprintf(out, "  cycles: %d → %d  (speedup %.2fx)\n", orig, split, float64(orig)/float64(split))
+	for _, lvl := range []string{"L1", "L2", "L3"} {
+		o, s := st[0].Cache.Level(lvl).Misses, st[1].Cache.Level(lvl).Misses
+		reduction := 0.0
+		if o != 0 {
+			reduction = 100 * (float64(o) - float64(s)) / float64(o)
+		}
+		fmt.Fprintf(out, "  %s miss reduction: %.1f%%\n", lvl, reduction)
 	}
 	return nil
 }

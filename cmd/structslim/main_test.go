@@ -49,3 +49,38 @@ func TestStatWindowSelectsStatisticalMode(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizeAppliesPrintedAdvice: -optimize measures the layout of the
+// advice it prints for the hot record. On health at period 3000 a second
+// profile at another seed advises a different split, so a layout taken
+// from anywhere but the printed report shows here.
+func TestOptimizeAppliesPrintedAdvice(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runProfile([]string{"-workload", "health", "-period", "3000", "-optimize"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var groups []string
+	var layout string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "    struct Patient_"); ok {
+			_, body, _ := strings.Cut(rest, "{")
+			body, _, _ = strings.Cut(body, "}")
+			var names []string
+			for _, decl := range strings.Split(body, ";") {
+				if f := strings.Fields(decl); len(f) > 0 {
+					names = append(names, f[len(f)-1])
+				}
+			}
+			groups = append(groups, strings.Join(names, ","))
+		}
+		if rest, ok := strings.CutPrefix(line, "  layout: "); ok {
+			layout = rest
+		}
+	}
+	if len(groups) == 0 || layout == "" {
+		t.Fatalf("no Patient advice or layout line in output:\n%s", buf.String())
+	}
+	if want := "Patient{" + strings.Join(groups, " | ") + "}"; layout != want {
+		t.Errorf("applied layout %s, printed advice %s", layout, want)
+	}
+}

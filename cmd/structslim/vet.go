@@ -177,9 +177,9 @@ func verifyReuse(p *prog.Program, phases []structslim.Phase, rp *staticlint.Reus
 	}
 	tc := staticlint.NewTraceChecker(rp)
 	m.Observer = tc
-	last, err := m.RunAll(phases)
+	st, err := m.RunAll(phases)
 	if err != nil {
 		return nil, err
 	}
-	return tc.Finish(last), nil
+	return tc.Finish(st), nil
 }

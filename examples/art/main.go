@@ -17,9 +17,11 @@ import (
 )
 
 func main() {
-	opt := tables.Options{Scale: workloads.ScaleTest, SamplePeriod: 3_000, Seed: 1}
+	// One engine for both steps: the speedup run reuses the profiled ART
+	// run the tables are read from.
+	eng := tables.NewEngine(tables.Options{Scale: workloads.ScaleTest, SamplePeriod: 3_000, Seed: 1})
 
-	sr, err := tables.AnalyzeART(opt)
+	sr, err := eng.AnalyzeART()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := tables.RunBenchmark(w, opt)
+	r, err := eng.RunBenchmark(w)
 	if err != nil {
 		log.Fatal(err)
 	}

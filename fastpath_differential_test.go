@@ -106,7 +106,7 @@ func TestFastPathTablesByteIdentical(t *testing.T) {
 	}
 	render := func(reference bool) string {
 		opt := tables.Options{Scale: workloads.ScaleTest, SamplePeriod: 3000, Seed: 7, Reference: reference}
-		r, err := tables.RunBenchmark(w, opt)
+		r, err := tables.NewEngine(opt).RunBenchmark(w)
 		if err != nil {
 			t.Fatal(err)
 		}

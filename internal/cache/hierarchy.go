@@ -81,9 +81,8 @@ type Hierarchy struct {
 
 	prefetchers []*strideTable
 	tlbs        []*tlb
-	// PrefetchIssued / PrefetchUseful count prefetcher activity.
+	// PrefetchIssued counts prefetcher activity.
 	PrefetchIssued uint64
-	PrefetchUseful uint64
 
 	demandAccesses uint64
 	writeBacks     uint64
@@ -200,9 +199,6 @@ func (h *Hierarchy) inst(levelIdx, core int) *level {
 	}
 	return insts[core]
 }
-
-// lastPrivate returns the index of the deepest private level, or -1.
-func (h *Hierarchy) lastPrivate() int { return h.lastPriv }
 
 // SetCoherenceObserver attaches (or, with nil, detaches) the per-line
 // coherence stats hook. The observer sees every write-invalidation,

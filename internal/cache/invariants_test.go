@@ -37,7 +37,7 @@ func checkInclusion(t *testing.T, h *Hierarchy) {
 // hierarchies carry no directory at all.
 func checkDirectory(t *testing.T, h *Hierarchy) {
 	t.Helper()
-	lp := h.lastPrivate()
+	lp := h.lastPriv
 	if lp < 0 {
 		return
 	}

@@ -40,14 +40,6 @@ type Options struct {
 	// AffinityThreshold is the clustering cut: fields joined by an edge
 	// with A_ij at or above it are grouped into the same split struct.
 	AffinityThreshold float64
-	// MinStreamSamples is the minimum sample count for a stream's stride
-	// to vote on the structure size (Equation 5). Equation 4 wants ~10
-	// unique addresses for high confidence, but the cross-stream GCD
-	// already corrects multiples, so the default is lower.
-	MinStreamSamples uint64
-	// KeepAllGroups retains insignificant structures in the report's
-	// deep-dive list too (used by tests and ablations).
-	KeepAllGroups bool
 	// WeightByCount switches Equation 7 from latency-weighted to
 	// access-count-weighted affinity — the Chilimbi-style baseline the
 	// paper argues against. Exposed for the ablation study; the default
@@ -55,26 +47,21 @@ type Options struct {
 	WeightByCount bool
 }
 
-// DefaultOptions mirrors the paper's settings.
-func DefaultOptions() Options {
-	return Options{
-		TopK:              3,
-		MinLd:             0.01,
-		AffinityThreshold: 0.5,
-		MinStreamSamples:  3,
-	}
-}
+// MinStreamSamples is the minimum sample count for a stream's stride to
+// vote on the structure size (Equation 5). Equation 4 wants ~10 unique
+// addresses for high confidence, but the cross-stream GCD already
+// corrects multiples, so the bar is lower.
+const MinStreamSamples = 3
 
+// withDefaults fills the paper's settings into unset options: the top
+// three structures (TopK 3) and the 0.5 affinity cut. MinLd stays as
+// given; 0 keeps every structure inside the top K.
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
 	if o.TopK == 0 {
-		o.TopK = d.TopK
+		o.TopK = 3
 	}
 	if o.AffinityThreshold == 0 {
-		o.AffinityThreshold = d.AffinityThreshold
-	}
-	if o.MinStreamSamples == 0 {
-		o.MinStreamSamples = d.MinStreamSamples
+		o.AffinityThreshold = 0.5
 	}
 	return o
 }

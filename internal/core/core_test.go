@@ -231,13 +231,13 @@ func TestTopKAndMinLdFiltering(t *testing.T) {
 		t.Errorf("MinLd=0.5 kept %d structures", len(rep2.Structures))
 	}
 
-	// KeepAllGroups overrides both.
-	rep3, err := Analyze(prof, p, Options{TopK: 1, KeepAllGroups: true})
+	// A TopK past the number of structures keeps them all.
+	rep3, err := Analyze(prof, p, Options{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep3.Structures) != 3 {
-		t.Errorf("KeepAllGroups kept %d structures", len(rep3.Structures))
+		t.Errorf("TopK=10 kept %d structures", len(rep3.Structures))
 	}
 }
 

@@ -219,7 +219,7 @@ func BuildReport(
 		if meta.TotalLatency > 0 {
 			ld = float64(ip.latency) / float64(meta.TotalLatency)
 		}
-		analyzed := (rank < opt.TopK && ld >= opt.MinLd) || opt.KeepAllGroups
+		analyzed := rank < opt.TopK && ld >= opt.MinLd
 		rep.Ranking = append(rep.Ranking, RankEntry{
 			Identity:   ip.identity,
 			Name:       displayName(&ip.anyObj, program),
@@ -311,7 +311,7 @@ func finalizeStruct(
 			continue
 		}
 		si := streamInfo{key: key, stat: stat}
-		if stat.Count >= opt.MinStreamSamples && stat.GCD >= stride.MinMeaningfulStride {
+		if stat.Count >= MinStreamSamples && stat.GCD >= stride.MinMeaningfulStride {
 			si.voted = true
 			sizeVotes = append(sizeVotes, stat.GCD)
 		}

@@ -235,7 +235,7 @@ func (ob *Observer) Report() *Report {
 // under the checking observer and returns the report. The machine runs
 // the full cache model with every access delivered to the observer.
 func CrossCheck(a *Analysis, cacheCfg cache.Config, phases [][]vm.ThreadSpec) (*Report, error) {
-	m, err := vm.NewMachine(a.Program, cacheCfg, vm.CoresFor(phases), vm.DefaultConfig())
+	m, err := vm.NewMachine(a.Program, cacheCfg, vm.CoresFor(phases), vm.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -22,11 +22,6 @@ import (
 // is the empty set.
 type objSet []uint64
 
-func (s objSet) has(i int) bool {
-	w := i >> 6
-	return w < len(s) && s[w]&(1<<(uint(i)&63)) != 0
-}
-
 func (s objSet) empty() bool {
 	for _, w := range s {
 		if w != 0 {

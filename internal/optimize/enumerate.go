@@ -45,8 +45,6 @@ const DefaultLine = 64
 type EnumOptions struct {
 	// MaxCandidates caps the emitted candidates (0 = DefaultMaxCandidates).
 	MaxCandidates int
-	// Line is the stride granularity of padded variants (0 = DefaultLine).
-	Line int
 }
 
 // Candidate is one legal layout variant of the hot record.
@@ -83,10 +81,6 @@ func Enumerate(rec *prog.RecordSpec, sr *core.StructReport, opt EnumOptions) ([]
 	max := opt.MaxCandidates
 	if max <= 0 {
 		max = DefaultMaxCandidates
-	}
-	line := opt.Line
-	if line <= 0 {
-		line = DefaultLine
 	}
 
 	baseKey := split.Key(prog.AoS(rec))
@@ -228,9 +222,9 @@ func Enumerate(rec *prog.RecordSpec, sr *core.StructReport, opt EnumOptions) ([]
 	// neighboring elements stop sharing lines. Offsets are unchanged, so
 	// keep-together constraints hold trivially.
 	if len(sr.KeepApart) > 0 {
-		addLayout(fmt.Sprintf("pad-line%d", line),
+		addLayout(fmt.Sprintf("pad-line%d", DefaultLine),
 			"baseline strides padded to the cache line (KeepApart pairs present)",
-			prog.AoS(rec).Padded(line))
+			prog.AoS(rec).Padded(DefaultLine))
 	}
 
 	// 6. The affinity ladder: single-link clustering at every distinct

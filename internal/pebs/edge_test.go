@@ -1,9 +1,8 @@
 package pebs
 
-// Edge-case coverage for the AccessGap/SkipAccesses/WindowPlan protocol:
-// gaps that span a thread's termination, gaps that cross a change of the
-// sampling period, zero-length gaps, and the WindowPlan budget split the
-// statistical engine relies on. These are the corners the differential
+// Edge-case coverage for the AccessGap/SkipAccesses protocol: gaps that
+// span a thread's termination, gaps that cross a change of the sampling
+// period, and zero-length gaps. These are the corners the differential
 // protocol test (gap_test.go) exercises only probabilistically, if at all.
 
 import (
@@ -129,39 +128,5 @@ func TestZeroLengthGaps(t *testing.T) {
 	}
 	if n := s.Profiles()[0].NumSamples; n != 5 {
 		t.Fatalf("samples = %d, want 5 (every access sampled)", n)
-	}
-}
-
-// TestWindowPlanBudgetSplit pins the statistical engine's contract: the
-// fast-forward prefix plus the warmup window exactly reconstructs the
-// inter-sample gap, short gaps yield no fast-forward at all, and IBS mode
-// (instruction-gated gaps, no access budget) always declines.
-func TestWindowPlanBudgetSplit(t *testing.T) {
-	space := mem.NewSpace()
-	s := NewSampler(Config{Period: 100}, space, 1)
-
-	// Long gap: 99 free accesses, window 64 → fast-forward 35.
-	ff := s.WindowPlan(0, 64)
-	if ff != 35 {
-		t.Fatalf("fast-forward = %d, want 35", ff)
-	}
-	// Booking the fast-forward must leave exactly the warmup window.
-	s.SkipAccesses(0, ff)
-	if gap, _ := s.AccessGap(0); gap != 64 {
-		t.Fatalf("post-fast-forward gap = %d, want the 64-access window", gap)
-	}
-
-	// Gap equal to or shorter than the window: simulate everything.
-	if ff := s.WindowPlan(0, 64); ff != 0 {
-		t.Fatalf("gap==window fast-forward = %d, want 0", ff)
-	}
-	if ff := s.WindowPlan(0, 1000); ff != 0 {
-		t.Fatalf("gap<window fast-forward = %d, want 0", ff)
-	}
-
-	// IBS gaps are instruction-gated: no access budget to split.
-	ibs := NewSampler(Config{Mode: ModeIBS, Period: 100}, space, 1)
-	if ff := ibs.WindowPlan(0, 64); ff != 0 {
-		t.Fatalf("IBS fast-forward = %d, want 0", ff)
 	}
 }

@@ -116,7 +116,7 @@ func TestIBSSamplesLaterPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := phases[len(phases)-1]
-	m, err := vm.NewMachine(p, cache.DefaultConfig(), len(last), vm.DefaultConfig())
+	m, err := vm.NewMachine(p, cache.DefaultConfig(), len(last), vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,26 +276,6 @@ func (s *Sampler) SkipAccesses(tid int, n uint64) {
 	s.threads[tid].countdown -= n
 }
 
-// WindowPlan implements vm.WindowSampler: it schedules the statistical
-// engine's sampled windows. Of the thread's current inter-sample gap —
-// accesses certain not to be sampled — the leading fastForward accesses
-// may skip cache simulation entirely; the remaining (up to window)
-// accesses form the warmup suffix that is fully simulated, but not
-// sampled, so the cache state the next sample observes has warmed for at
-// least window accesses. IBS-mode gaps are instruction-gated, not
-// access-counted, so there is no access budget to split and the machine
-// stays exact.
-func (s *Sampler) WindowPlan(tid int, window uint64) (fastForward uint64) {
-	if s.cfg.Mode == ModeIBS {
-		return 0
-	}
-	gap := s.threads[tid].countdown - 1
-	if gap <= window {
-		return 0
-	}
-	return gap - window
-}
-
 // Finish snapshots the object table into each thread profile and attaches
 // the run's cycle accounts; call it once after the machine run completes.
 func (s *Sampler) Finish(st vm.Stats) []*profile.ThreadProfile {

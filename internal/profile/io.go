@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // The on-disk format is a gob stream of ThreadProfile, one file per
@@ -72,7 +73,10 @@ func WriteDir(dir string, tps []*ThreadProfile) error {
 	return nil
 }
 
-// ReadDir loads every profile.*.gob in dir.
+// ReadDir loads every profile.*.gob in dir, in thread-id order: the
+// merge keeps each stream's offset anchor from the first profile it
+// sees, so the order must be the one the profiler produced, not the
+// file names' (profile.10 sorts before profile.2).
 func ReadDir(dir string) ([]*ThreadProfile, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "profile.*.gob"))
 	if err != nil {
@@ -94,5 +98,6 @@ func ReadDir(dir string) ([]*ThreadProfile, error) {
 		}
 		tps = append(tps, tp)
 	}
+	sort.Slice(tps, func(i, j int) bool { return tps[i].TID < tps[j].TID })
 	return tps, nil
 }

@@ -133,6 +133,50 @@ func TestProfileRoundTripThroughThreadFiles(t *testing.T) {
 	}
 }
 
+// TestReadDirThreadOrder: twelve thread profiles written and read back
+// come in thread-id order, not file-name order (profile.10.gob sorts
+// before profile.2.gob), so the merge — which anchors each stream's
+// offsets at the first profile it sees — equals the in-memory merge.
+func TestReadDirThreadOrder(t *testing.T) {
+	var tps []*ThreadProfile
+	for tid := 0; tid < 12; tid++ {
+		tp := NewThreadProfile(tid, 1000)
+		tp.Objects = []ObjInfo{{ID: 1, Name: "arr", Base: 0x1000, Size: 4096, Identity: 11}}
+		for k := 0; k < 3; k++ {
+			tp.Add(Sample{
+				TID: int32(tid), IP: 0x400200, EA: uint64(0x1010 + 0x40*tid + 0x400*k),
+				Latency: 10, ObjID: 1,
+			}, 11)
+		}
+		tps = append(tps, tp)
+	}
+	want, err := ReduceThreadProfiles(tps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := WriteDir(dir, tps); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tp := range loaded {
+		if tp.TID != i {
+			t.Fatalf("profile %d has TID %d, want thread-id order", i, tp.TID)
+		}
+	}
+	got, err := ReduceThreadProfiles(loaded, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merge of the reloaded profiles differs from the originals':\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestReadDirNoProfiles: a missing directory and an existing-but-empty
 // directory both fail with an error naming the directory, not a nil
 // slice the caller would merge into an empty profile.

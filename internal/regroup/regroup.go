@@ -32,9 +32,6 @@ type Options struct {
 	AffinityThreshold float64
 	// MinLd drops arrays below this share of total latency (default 1%).
 	MinLd float64
-	// MaxStride is the largest dominant stream stride a candidate may
-	// have and still count as a dense array (default 64, one line).
-	MaxStride uint64
 	// Frozen is the set of identities the transform-legality pass
 	// refused to touch (legality.FrozenIdentities). Frozen arrays are
 	// excluded from clustering — interleaving moves their elements just
@@ -44,8 +41,12 @@ type Options struct {
 
 // DefaultOptions returns the defaults.
 func DefaultOptions() Options {
-	return Options{AffinityThreshold: 0.5, MinLd: 0.01, MaxStride: 64}
+	return Options{AffinityThreshold: 0.5, MinLd: 0.01}
 }
+
+// maxStride is the largest dominant stream stride a candidate may have
+// and still count as a dense array: one 64-byte line.
+const maxStride = 64
 
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
@@ -54,9 +55,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinLd == 0 {
 		o.MinLd = d.MinLd
-	}
-	if o.MaxStride == 0 {
-		o.MaxStride = d.MaxStride
 	}
 	return o
 }
@@ -145,7 +143,7 @@ func Analyze(p *profile.Profile, program *prog.Program, opt Options) (*Report, e
 			ld = float64(lat) / float64(p.TotalLatency)
 		}
 		stride, ok := minStride[ident]
-		if !ok || stride > opt.MaxStride || ld < opt.MinLd {
+		if !ok || stride > maxStride || ld < opt.MinLd {
 			continue
 		}
 		c := Candidate{

@@ -29,12 +29,9 @@ import (
 // Config tunes the ingest server.
 type Config struct {
 	// QueueDepth is the per-session batch queue bound; a full queue
-	// rejects the POST with 429 + Retry-After. Zero or negative selects
-	// the default, 64.
+	// rejects the POST with 429 and a Retry-After of retryAfter. Zero or
+	// negative selects the default, 64.
 	QueueDepth int
-	// RetryAfter is the Retry-After value (seconds) sent with 429. Zero
-	// or negative selects the default, 1.
-	RetryAfter int
 	// IngestDelay, when non-nil, runs before every batch ingest — a test
 	// hook to provoke backpressure deterministically.
 	IngestDelay func()
@@ -54,11 +51,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	return c
 }
+
+// retryAfter is the Retry-After value, in seconds, sent with 429.
+const retryAfter = "1"
 
 // Server ingests sample batches into a streaming analyzer.
 type Server struct {
@@ -238,7 +235,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 			// the client can resend the rest after Retry-After.
 			s.releaseFrom(arena, batches, i)
 			s.rejected.Add(1)
-			w.Header().Set("Retry-After", fmt.Sprint(s.conf.RetryAfter))
+			w.Header().Set("Retry-After", retryAfter)
 			w.Header().Set("X-Accepted-Batches", fmt.Sprint(accepted))
 			http.Error(w, "session queue full", http.StatusTooManyRequests)
 			return

@@ -221,7 +221,6 @@ func TestBackpressure(t *testing.T) {
 	var once sync.Once
 	srv := server.New(an, server.Config{
 		QueueDepth:  1,
-		RetryAfter:  2,
 		IngestDelay: func() { <-release },
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -252,8 +251,8 @@ func TestBackpressure(t *testing.T) {
 	if rejected == nil {
 		t.Fatal("no 429 despite blocked worker and depth-1 queue")
 	}
-	if ra := rejected.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := rejected.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	// Unblock and retry: the accepted batches drain, new ones are taken.
@@ -275,8 +274,8 @@ func TestBackpressure(t *testing.T) {
 	srv.Drain()
 }
 
-// TestNonPositiveQueueDepth: a zero or negative queue depth or
-// Retry-After selects the default. A negative depth once panicked in the
+// TestNonPositiveQueueDepth: a zero or negative queue depth selects the
+// default. A negative depth once panicked in the
 // first POST with the server lock held, which wedged every later POST,
 // flush and metrics read; each request here must answer within the
 // client's deadline.
@@ -285,7 +284,7 @@ func TestNonPositiveQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(an, server.Config{QueueDepth: -1, RetryAfter: -1})
+	srv := server.New(an, server.Config{QueueDepth: -1})
 	// No deferred Close or Drain: on a wedged server both would block on
 	// the stuck handlers, turning a failure into a hang.
 	ts := httptest.NewServer(srv.Handler())

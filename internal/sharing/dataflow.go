@@ -59,7 +59,6 @@ type av struct {
 	cU   bool
 }
 
-func avBottom() av       { return av{kind: avBot} }
 func avTopV() av         { return av{kind: avTop} }
 func avConst(c int64) av { return av{kind: avLin, c: c} }
 func avGlobal(g int) av  { return av{kind: avLin, base: baseTag{kind: baseGlobal, global: g}} }

@@ -287,7 +287,7 @@ func (v *Verifier) attr(addr uint64) (global, field int, ok bool) {
 // attached — the same one-machine-across-phases shape the profiler's
 // runner uses — and returns the per-phase observations.
 func VerifyRun(p *prog.Program, phases [][]vm.ThreadSpec, cacheCfg cache.Config) (*RunObs, error) {
-	m, err := vm.NewMachine(p, cacheCfg, vm.CoresFor(phases), vm.DefaultConfig())
+	m, err := vm.NewMachine(p, cacheCfg, vm.CoresFor(phases), vm.Config{})
 	if err != nil {
 		return nil, err
 	}

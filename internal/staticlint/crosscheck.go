@@ -138,11 +138,11 @@ type anchor struct {
 }
 
 // CrossCheck compares an analysis against a merged profile of the same
-// program. minSamples is the Eq. 5 voting threshold and must match the
-// core.Options used for the dynamic analysis (0 = core default).
+// program. minSamples is the Eq. 5 voting threshold; 0 uses the dynamic
+// analyzer's, core.MinStreamSamples.
 func CrossCheck(a *Analysis, p *profile.Profile, minSamples uint64) *CrossReport {
 	if minSamples == 0 {
-		minSamples = core.DefaultOptions().MinStreamSamples
+		minSamples = core.MinStreamSamples
 	}
 	rep := &CrossReport{Program: a.Program.Name}
 	for _, sp := range a.Streams {

@@ -86,10 +86,6 @@ func (a *Analyzer) Live(topK int) *LiveView {
 		s.mu.Unlock()
 	}
 
-	minSamples := a.conf.Analysis.MinStreamSamples
-	if minSamples == 0 {
-		minSamples = core.DefaultOptions().MinStreamSamples
-	}
 	for id, it := range idents {
 		ls := LiveStruct{
 			Identity:   id,
@@ -105,7 +101,7 @@ func (a *Analyzer) Live(topK int) *LiveView {
 			if k.Identity != id {
 				continue
 			}
-			if st.Count >= minSamples && st.GCD >= stride.MinMeaningfulStride {
+			if st.Count >= core.MinStreamSamples && st.GCD >= stride.MinMeaningfulStride {
 				votes = append(votes, st.GCD)
 			}
 			ls.Streams = append(ls.Streams, LiveStream{

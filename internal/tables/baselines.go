@@ -17,16 +17,6 @@ type BaselineRow struct {
 	MaxShareError float64
 }
 
-// BaselineComparison reproduces the paper's motivating overhead contrast
-// (Sections 1–3): StructSlim's sampling versus access-frequency
-// instrumentation (Chilimbi/ASLOP-style) versus full reuse-distance
-// collection (Zhong-style), all run on the same workload — and, as a
-// bonus the paper could not measure, the sampled analysis's accuracy
-// against the instrumented ground truth.
-func BaselineComparison(name string, opt Options) ([]BaselineRow, error) {
-	return NewEngine(opt).BaselineComparison(name)
-}
-
 // WriteBaselines prints the comparison.
 func WriteBaselines(w io.Writer, name string, rows []BaselineRow) {
 	fmt.Fprintf(w, "Profiling technique comparison on %s (paper §1-3 motivation)\n", name)

@@ -242,8 +242,10 @@ func (e *Engine) SplitFigure(w io.Writer, name string) error {
 
 // PeriodRobustness profiles one paper workload across sampling periods
 // and checks whether the analysis outcome survives (rows in period
-// order). Each period is an independent keyed pipeline; the period that
-// matches the engine's configured one reuses the Table 3 run.
+// order): hotField names a field whose advised group must equal
+// wantGroup (sorted, comma-joined). Each period is an independent keyed
+// pipeline; the period that matches the engine's configured one reuses
+// the Table 3 run.
 func (e *Engine) PeriodRobustness(name string, periods []uint64, hotField, wantGroup string) ([]RobustnessRow, error) {
 	w, err := workloads.Get(name)
 	if err != nil {
@@ -267,9 +269,11 @@ func (e *Engine) PeriodRobustness(name string, periods []uint64, hotField, wantG
 }
 
 // BaselineComparison reproduces the paper's motivating overhead contrast
-// (Sections 1–3): sampling versus access-frequency instrumentation
-// versus full reuse-distance collection. The three runs are independent
-// keyed jobs and overlap under a parallel engine.
+// (Sections 1–3): StructSlim's sampling versus access-frequency
+// instrumentation (Chilimbi/ASLOP-style) versus full reuse-distance
+// collection (Zhong-style), all on the same workload, plus the sampled
+// analysis's accuracy against the instrumented ground truth. The three
+// runs are independent keyed jobs and overlap under a parallel engine.
 func (e *Engine) BaselineComparison(name string) ([]BaselineRow, error) {
 	w, err := workloads.Get(name)
 	if err != nil {
@@ -297,18 +301,13 @@ func (e *Engine) BaselineComparison(name string) ([]BaselineRow, error) {
 					return instrumented{}, err
 				}
 				m.Observer = rec
-				var wall, app uint64
-				for _, ph := range phases {
-					st, err := m.Run(ph)
-					if err != nil {
-						return instrumented{}, err
-					}
-					wall += st.WallCycles
-					app += st.AppWallCycles
+				st, err := m.RunAll(phases)
+				if err != nil {
+					return instrumented{}, err
 				}
 				factor := 1.0
-				if app > 0 {
-					factor = float64(wall) / float64(app)
+				if st.AppWallCycles > 0 {
+					factor = float64(st.WallCycles) / float64(st.AppWallCycles)
 				}
 				return instrumented{Exact: rec.Report(), Factor: factor}, nil
 			})
@@ -369,8 +368,10 @@ func (e *Engine) BaselineComparison(name string) ([]BaselineRow, error) {
 	}, nil
 }
 
-// CaseStudies runs the beyond-paper record workloads through the full
-// pipeline; the pipelines overlap, the report is written in order.
+// CaseStudies runs the beyond-paper record workloads (mcf's arc array,
+// streamcluster's Point — both known splitting targets in the layout
+// literature) through the full pipeline and prints their advice and
+// payoff; the pipelines overlap, the report is written in order.
 func (e *Engine) CaseStudies(w io.Writer) error {
 	names := []string{"mcf", "streamcluster"}
 	results, err := runner.Collect(e.pool, names, func(name string) (*BenchResult, error) {

@@ -12,12 +12,6 @@ import (
 	"repro/structslim"
 )
 
-// AnalyzeART runs the profiled ART pipeline on a one-shot engine;
-// Tables 5 and 6 and Figure 6 all read from its report.
-func AnalyzeART(opt Options) (*core.StructReport, error) {
-	return NewEngine(opt).AnalyzeART()
-}
-
 // WriteTable5 prints ART's per-field latency shares, paper vs measured.
 func WriteTable5(w io.Writer, sr *core.StructReport) {
 	fmt.Fprintf(w, "Table 5: f1_neuron per-field latency share (measured, paper)\n")
@@ -61,12 +55,6 @@ type OverheadPoint struct {
 	MemOps      uint64
 }
 
-// SuiteOverheads profiles every workload of a suite and reports the
-// measurement overhead of each (Figures 4 and 5), on a one-shot engine.
-func SuiteOverheads(suite string, opt Options) ([]OverheadPoint, error) {
-	return NewEngine(opt).SuiteOverheads(suite)
-}
-
 func sortOverheads(out []OverheadPoint) {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 }
@@ -81,13 +69,6 @@ func WriteOverheadFigure(w io.Writer, title string, points []OverheadPoint, pape
 		sum += pt.OverheadPct
 	}
 	fmt.Fprintf(w, "  %-14s %6.2f%%  (paper average: %.1f%%)\n", "average", sum/float64(len(points)), paperAvg)
-}
-
-// SplitFigure runs the pipeline for one paper benchmark and renders its
-// advised struct definitions — Figures 7 through 13 — on a one-shot
-// engine.
-func SplitFigure(w io.Writer, name string, opt Options) error {
-	return NewEngine(opt).SplitFigure(w, name)
 }
 
 // FigureNumberFor maps the paper's figure numbers 7–13 to benchmarks.
@@ -111,14 +92,6 @@ type RobustnessRow struct {
 	SizeOK bool
 	// AdviceOK: the hot group of the advice matches the expected set.
 	AdviceOK bool
-}
-
-// PeriodRobustness profiles one paper workload across sampling periods
-// and checks whether the analysis outcome survives, on a one-shot
-// engine. hotField names a field whose advised group must equal
-// wantGroup (sorted, comma-joined).
-func PeriodRobustness(name string, periods []uint64, hotField, wantGroup string, opt Options) ([]RobustnessRow, error) {
-	return NewEngine(opt).PeriodRobustness(name, periods, hotField, wantGroup)
 }
 
 // fillRobustness judges one period's analysis outcome: did the size
@@ -160,14 +133,6 @@ func WriteRobustness(w io.Writer, name string, rows []RobustnessRow) {
 		fmt.Fprintf(w, "  %-10d %-9d %7.2f%%   %-7s %s\n",
 			r.Period, r.Samples, r.OverheadPct, ok(r.SizeOK), ok(r.AdviceOK))
 	}
-}
-
-// CaseStudies runs the beyond-paper record workloads (mcf's arc array,
-// streamcluster's Point — both known splitting targets in the layout
-// literature) through the full pipeline and prints their advice and
-// payoff, on a one-shot engine.
-func CaseStudies(w io.Writer, opt Options) error {
-	return NewEngine(opt).CaseStudies(w)
 }
 
 func indentLines(s, pad string) string {

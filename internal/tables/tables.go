@@ -100,19 +100,6 @@ func (r *BenchResult) MissReduction(level string) float64 {
 	return 100 * (float64(o) - float64(s)) / float64(o)
 }
 
-// RunBenchmark executes the end-to-end pipeline for one paper workload
-// on a one-shot engine. Callers regenerating several artifacts should
-// share one Engine so repeated simulations are deduplicated.
-func RunBenchmark(w workloads.Workload, opt Options) (*BenchResult, error) {
-	return NewEngine(opt).RunBenchmark(w)
-}
-
-// RunPaperBenchmarks runs the full pipeline for all seven benchmarks in
-// table order on a one-shot engine.
-func RunPaperBenchmarks(opt Options) ([]*BenchResult, error) {
-	return NewEngine(opt).RunPaperBenchmarks()
-}
-
 // --- Published reference values -------------------------------------------
 
 // PaperTable3 holds the published Table 3 rows.

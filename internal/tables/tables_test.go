@@ -18,7 +18,7 @@ var cachedResults []*BenchResult
 func paperResults(t *testing.T) []*BenchResult {
 	t.Helper()
 	if cachedResults == nil {
-		rs, err := RunPaperBenchmarks(testOpt())
+		rs, err := NewEngine(testOpt()).RunPaperBenchmarks()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestRenderTables(t *testing.T) {
 }
 
 func TestTable5And6AndFigure6(t *testing.T) {
-	sr, err := AnalyzeART(testOpt())
+	sr, err := NewEngine(testOpt()).AnalyzeART()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +208,10 @@ func TestTable5And6AndFigure6(t *testing.T) {
 }
 
 func TestSplitFigures(t *testing.T) {
+	eng := NewEngine(testOpt())
 	for fig := 7; fig <= 13; fig++ {
 		var buf bytes.Buffer
-		if err := SplitFigure(&buf, FigureNumberFor[fig], testOpt()); err != nil {
+		if err := eng.SplitFigure(&buf, FigureNumberFor[fig]); err != nil {
 			t.Fatalf("figure %d: %v", fig, err)
 		}
 		out := buf.String()
@@ -229,7 +230,7 @@ func TestSuiteOverheadFigures(t *testing.T) {
 	figOpt := testOpt()
 	figOpt.SamplePeriod = 10_000
 	for _, suite := range []string{workloads.RodiniaSuite, workloads.SpecSuite} {
-		points, err := SuiteOverheads(suite, figOpt)
+		points, err := NewEngine(figOpt).SuiteOverheads(suite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,9 +262,8 @@ func TestSuiteOverheadFigures(t *testing.T) {
 func TestPeriodRobustness(t *testing.T) {
 	// ART's advice must survive from dense to the paper's 10k sampling;
 	// overhead must fall monotonically with the period.
-	rows, err := PeriodRobustness("art",
-		[]uint64{1000, 3000, 10_000},
-		"P", "P", testOpt())
+	rows, err := NewEngine(testOpt()).PeriodRobustness("art",
+		[]uint64{1000, 3000, 10_000}, "P", "P")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestPeriodRobustness(t *testing.T) {
 }
 
 func TestBaselineComparison(t *testing.T) {
-	rows, err := BaselineComparison("art", testOpt())
+	rows, err := NewEngine(testOpt()).BaselineComparison("art")
 	if err != nil {
 		t.Fatal(err)
 	}

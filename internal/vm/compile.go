@@ -129,17 +129,17 @@ type GapSampler interface {
 	ChargeSample(ev *MemEvent, obj *mem.Object) (overheadCycles uint64)
 }
 
-// WindowSampler is a GapSampler that additionally understands sampled-
-// window statistical simulation (Config.StatWindow). After each delivered
-// sample, WindowPlan returns how many of the upcoming skippable accesses
-// the machine may fast-forward — run with exact program semantics but
-// estimated memory latency, without walking the cache hierarchy — so that
-// the trailing `window` accesses before the next sample still run the
-// full cache model as warmup. A sampler returns 0 to demand exact
-// simulation of the whole gap (e.g. in instruction-gated mode).
-type WindowSampler interface {
-	GapSampler
-	WindowPlan(tid int, window uint64) (fastForward uint64)
+// fastForward splits a statistical run's inter-sample gap: of the gap
+// accesses the sampler will certainly ignore, the leading ones may run
+// with exact program semantics but estimated memory latency, without
+// walking the cache hierarchy, so that the trailing window accesses
+// before the next sample still run the full cache model as warmup. A gap
+// no wider than the window is simulated whole.
+func fastForward(gap, window uint64) uint64 {
+	if gap <= window {
+		return 0
+	}
+	return gap - window
 }
 
 // deliverAccess materializes the full MemEvent for one access, flushes
@@ -200,7 +200,7 @@ func (m *Machine) stepThreadFast(t *Thread, quantum int) (uint64, error) {
 	obs := m.Observer
 	gap := m.gap
 	gapByInstr := m.gapByInstr
-	winSampler := m.winSampler
+	stat := m.stat
 	pipe := m.pipe
 	statW := uint64(m.cfg.StatWindow)
 	code := m.code[t.fn]
@@ -327,7 +327,7 @@ func (m *Machine) stepThreadFast(t *Thread, quantum int) (uint64, error) {
 			}
 			var res cache.Result
 			res, cycles = timeAccess(caches, t.Core, u.ip, ea, u.size, write, cycles)
-			if winSampler != nil {
+			if stat {
 				t.simLatSum += uint64(res.Latency)
 				t.simAccesses++
 			}
@@ -336,8 +336,10 @@ func (m *Machine) stepThreadFast(t *Thread, quantum int) (uint64, error) {
 				t.sampSkip, t.pendSkip = sampSkip, pendSkip
 				m.deliverAccess(t, u.ip, ea, u.size, write, res)
 				sampSkip, pendSkip = t.sampSkip, t.pendSkip
-				if winSampler != nil && t.simAccesses > 0 {
-					if ff := winSampler.WindowPlan(t.ID, statW); ff > 0 {
+				// Delivery re-armed sampSkip from the sampler's AccessGap:
+				// the gap to the next sample, which the window splits.
+				if stat {
+					if ff := fastForward(sampSkip, statW); ff > 0 {
 						t.ffSkip = ff
 						t.estLat = t.simLatSum / t.simAccesses
 						t.statWindows++

@@ -126,7 +126,7 @@ func TestDifferentialALU(t *testing.T) {
 		b.Halt()
 		p := b.MustProgram()
 
-		m, err := NewMachine(p, testCacheConfig(), 1, DefaultConfig())
+		m, err := NewMachine(p, testCacheConfig(), 1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestDifferentialBranches(t *testing.T) {
 			}
 		}
 
-		m, err := NewMachine(p, testCacheConfig(), 1, DefaultConfig())
+		m, err := NewMachine(p, testCacheConfig(), 1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

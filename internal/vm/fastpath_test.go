@@ -126,11 +126,11 @@ func buildKitchenSink() (*prog.Program, int, int) {
 func machinesBoth(t *testing.T, p *prog.Program, ccfg cache.Config, cores int) (fast, ref *Machine) {
 	t.Helper()
 	var err error
-	fast, err = NewMachine(p, ccfg, cores, DefaultConfig())
+	fast, err = NewMachine(p, ccfg, cores, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := DefaultConfig()
+	rcfg := Config{}
 	rcfg.Reference = true
 	ref, err = NewMachine(p, ccfg, cores, rcfg)
 	if err != nil {

@@ -60,7 +60,7 @@ func TestDifferentialMemory(t *testing.T) {
 		b.Halt()
 		p := b.MustProgram()
 
-		m, err := NewMachine(p, testCacheConfig(), 1, DefaultConfig())
+		m, err := NewMachine(p, testCacheConfig(), 1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ const (
 func (m *Machine) pipelines() bool {
 	switch {
 	case m.code == nil,
-		m.winSampler != nil,
+		m.stat,
 		m.Observer != nil && m.gap == nil,
 		m.AllocObserver != nil,
 		m.Caches.CoherenceObserver() != nil,

@@ -104,11 +104,8 @@ type ThreadSpec struct {
 	Core int
 }
 
-// Config tunes the interpreter.
+// Config tunes the interpreter. The zero value is the default machine.
 type Config struct {
-	// Quantum is how many instructions a thread runs before the scheduler
-	// rotates; it controls the interleaving granularity of parallel runs.
-	Quantum int
 	// MaxInstrs aborts runaway programs (0 means a very large default).
 	MaxInstrs uint64
 	// Reference forces the original per-instruction interpreter with
@@ -118,23 +115,24 @@ type Config struct {
 	Reference bool
 
 	// StatWindow > 0 enables sampled-window statistical simulation on the
-	// compiled engine when the observer is a WindowSampler: of each
-	// inter-sample gap, only the trailing StatWindow accesses (the warmup
-	// suffix) and the sample itself run the full cache model; the leading
-	// accesses execute their exact memory semantics but charge the
-	// thread's running-mean latency instead of walking the hierarchy.
-	// Control flow, memory contents, and the set of sampled accesses are
-	// exact; sample latencies, levels, and timestamps are approximate
-	// (see StatCounters). Instruction-gated (IBS) sampling and the
-	// reference engine ignore the setting and stay exact. It is the one
-	// switch for statistical mode: 0 runs exactly.
+	// compiled engine when the observer is a GapSampler that counts
+	// accesses: of each inter-sample gap (the AccessGap budget re-armed
+	// after a delivered sample), only the trailing StatWindow accesses
+	// (the warmup suffix) and the sample itself run the full cache model;
+	// the leading accesses execute their exact memory semantics but
+	// charge the thread's running-mean latency instead of walking the
+	// hierarchy. Control flow, memory contents, and the set of sampled
+	// accesses are exact; sample latencies, levels, and timestamps are
+	// approximate (see StatCounters). Instruction-gated (IBS) sampling,
+	// runs without a GapSampler, and the reference engine ignore the
+	// setting and stay exact. It is the one switch for statistical mode:
+	// 0 runs exactly.
 	StatWindow int
 }
 
-// DefaultConfig returns the interpreter defaults.
-func DefaultConfig() Config {
-	return Config{Quantum: 1000, MaxInstrs: 0}
-}
+// quantum is how many instructions a thread runs before the scheduler
+// rotates; it sets the interleaving granularity of parallel runs.
+const quantum = 1000
 
 // DefaultStatWindow is the statistical warmup window callers use when they
 // want statistical mode without tuning it: enough accesses to repopulate
@@ -203,11 +201,11 @@ type Thread struct {
 	instrGate uint64
 
 	// Statistical-mode state (compiled engine with Config.StatWindow > 0
-	// and a WindowSampler): ffSkip accesses remain to fast-forward without
-	// walking the cache hierarchy, each charged estLat cycles — the
-	// running mean simLatSum/simAccesses over the accesses this thread
-	// simulated exactly. statWindows/statSkipped/statSkipCycles feed the
-	// run's StatCounters.
+	// and an access-counting GapSampler): ffSkip accesses remain to
+	// fast-forward without walking the cache hierarchy, each charged
+	// estLat cycles — the running mean simLatSum/simAccesses over the
+	// accesses this thread simulated exactly.
+	// statWindows/statSkipped/statSkipCycles feed the run's StatCounters.
 	ffSkip         uint64
 	estLat         uint64
 	simLatSum      uint64
@@ -262,14 +260,14 @@ type Machine struct {
 
 	// code is the block-compiled program (nil under Config.Reference)
 	// and memOps the table of its loads and stores; gap/gapByInstr cache
-	// the observer's GapSampler view for one Run, winSampler its
-	// WindowSampler view when statistical mode is on, and pipe the Run's
-	// timing side when it pipelines.
+	// the observer's GapSampler view for one Run, stat says whether the
+	// Run is in statistical mode, and pipe is the Run's timing side when
+	// it pipelines.
 	code       [][]cop
 	memOps     []memOp
 	gap        GapSampler
 	gapByInstr bool
-	winSampler WindowSampler
+	stat       bool
 	pipe       *pipeline
 
 	// slotInstrs is the instructions retired in each thread slot by
@@ -285,9 +283,6 @@ func NewMachine(p *prog.Program, cacheCfg cache.Config, numCores int, cfg Config
 		if err := p.Finalize(); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = DefaultConfig().Quantum
 	}
 	if cfg.MaxInstrs == 0 {
 		cfg.MaxInstrs = defaultMaxInstrs
@@ -329,22 +324,42 @@ func CoresFor(phases [][]ThreadSpec) int {
 }
 
 // RunAll executes a sequence of phases back to back on the same machine
-// (same address space and caches) and returns the final phase's
-// statistics. A nil or empty phase list runs the program entry function
-// once — the convention every verification-run helper shares.
+// (same address space and caches) and returns their statistics summed:
+// instruction, access, cycle and statistical counts add up across
+// phases, PerThread sums each thread slot's accounts, and Cache is the
+// machine's cumulative counters after the last phase. A nil or empty
+// phase list runs the program entry function once.
 func (m *Machine) RunAll(phases [][]ThreadSpec) (Stats, error) {
 	if len(phases) == 0 {
 		phases = [][]ThreadSpec{{{Fn: m.Prog.EntryFn}}}
 	}
-	var last Stats
+	var total Stats
 	for _, ph := range phases {
 		st, err := m.Run(ph)
 		if err != nil {
 			return Stats{}, err
 		}
-		last = st
+		total.Instrs += st.Instrs
+		total.MemOps += st.MemOps
+		total.WallCycles += st.WallCycles
+		total.AppWallCycles += st.AppWallCycles
+		total.Cache = st.Cache
+		total.Stat.Windows += st.Stat.Windows
+		total.Stat.Skipped += st.Stat.Skipped
+		total.Stat.Simulated += st.Stat.Simulated
+		total.Stat.EstimatedCycles += st.Stat.EstimatedCycles
+		for i, ts := range st.PerThread {
+			if i == len(total.PerThread) {
+				total.PerThread = append(total.PerThread, ThreadStats{ID: ts.ID})
+			}
+			agg := &total.PerThread[i]
+			agg.Cycles += ts.Cycles
+			agg.OverheadCycles += ts.OverheadCycles
+			agg.Instrs += ts.Instrs
+			agg.MemOps += ts.MemOps
+		}
 	}
-	return last, nil
+	return total, nil
 }
 
 // Run executes the given threads to completion and returns run statistics.
@@ -375,9 +390,10 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 
 	// A GapSampler observer lets the compiled engine batch non-sample
 	// accesses; arm each thread's initial skip budget. The reference
-	// engine always delivers every access.
+	// engine always delivers every access. Statistical mode needs an
+	// access budget to split, so it takes an access-counting sampler.
 	m.gap = nil
-	m.winSampler = nil
+	m.stat = false
 	if m.code != nil && m.Observer != nil {
 		if g, ok := m.Observer.(GapSampler); ok {
 			m.gap = g
@@ -387,13 +403,11 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 				t.arm(gap, byInstr)
 			}
 			if m.cfg.StatWindow > 0 && !m.gapByInstr {
-				if w, ok := g.(WindowSampler); ok {
-					m.winSampler = w
-					// Statistical runs age lines across fast-forwards so
-					// the skipped accesses' evictions are modeled rather
-					// than leaving stale lines to serve artificial hits.
-					m.Caches.EnableDecay()
-				}
+				m.stat = true
+				// Statistical runs age lines across fast-forwards so the
+				// skipped accesses' evictions are modeled rather than
+				// leaving stale lines to serve artificial hits.
+				m.Caches.EnableDecay()
 			}
 		}
 	}
@@ -416,9 +430,9 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 			var n uint64
 			var err error
 			if m.code != nil {
-				n, err = m.stepThreadFast(t, m.cfg.Quantum)
+				n, err = m.stepThreadFast(t, quantum)
 			} else {
-				n, err = m.stepThread(t, m.cfg.Quantum)
+				n, err = m.stepThread(t, quantum)
 			}
 			if err != nil {
 				return Stats{}, fmt.Errorf("thread %d: %w", t.ID, err)

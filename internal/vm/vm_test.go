@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func testCacheConfig() cache.Config {
 
 func newTestMachine(t *testing.T, p *prog.Program, cores int) *Machine {
 	t.Helper()
-	m, err := NewMachine(p, testCacheConfig(), cores, DefaultConfig())
+	m, err := NewMachine(p, testCacheConfig(), cores, Config{})
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
@@ -477,7 +478,7 @@ func TestMaxInstrsGuard(t *testing.T) {
 	b.Load(v, base, isa.RZ, 1, 0, 8)
 	b.Jmp(0) // while(true){ load }
 	p := b.MustProgram()
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.MaxInstrs = 10_000
 	m, err := NewMachine(p, testCacheConfig(), 1, cfg)
 	if err != nil {
@@ -510,7 +511,7 @@ func TestRunErrors(t *testing.T) {
 		if _, err := m.Run(tc.specs); err == nil {
 			t.Errorf("%s accepted", tc.what)
 		}
-		inline, pipelined := runSelections(t, p, DefaultConfig(), tc.specs)
+		inline, pipelined := runSelections(t, p, Config{}, tc.specs)
 		sameError(t, tc.what, inline, pipelined)
 	}
 
@@ -524,7 +525,7 @@ func TestRunErrors(t *testing.T) {
 			}
 		}
 	}
-	inline, pipelined := runSelections(t, bad, DefaultConfig(), nil)
+	inline, pipelined := runSelections(t, bad, Config{}, nil)
 	sameError(t, "bad opcode", inline, pipelined)
 	if pipelined != nil && !strings.Contains(pipelined.Error(), "unimplemented opcode") {
 		t.Errorf("bad opcode: %v", pipelined)
@@ -535,7 +536,7 @@ func TestRunErrors(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		m, err := NewMachine(buildStoreLoop(), testCacheConfig(), 1, DefaultConfig())
+		m, err := NewMachine(buildStoreLoop(), testCacheConfig(), 1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -653,5 +654,75 @@ func TestWallCyclesIsMax(t *testing.T) {
 	}
 	if st.WallCycles != st.PerThread[1].Cycles {
 		t.Errorf("wall = %d, want long thread's %d", st.WallCycles, st.PerThread[1].Cycles)
+	}
+}
+
+// TestRunAllSumsPhases: RunAll's statistics are the sum of the per-phase
+// Runs of the same phases on a twin machine — per-thread accounts, wall
+// and app cycles, instructions, accesses and the statistical counters —
+// with the cache counters taken after the last phase.
+func TestRunAllSumsPhases(t *testing.T) {
+	p, phases := buildTwoPhase()
+	cfg := Config{StatWindow: 8}
+	newMachine := func() *Machine {
+		m, err := NewMachine(p, testCacheConfig(), 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Observer = newFakeGapSampler(37, false, 2)
+		return m
+	}
+	got, err := newMachine().RunAll(phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	twin := newMachine()
+	var want Stats
+	for _, ph := range phases {
+		st, err := twin.Run(ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Instrs += st.Instrs
+		want.MemOps += st.MemOps
+		want.WallCycles += st.WallCycles
+		want.AppWallCycles += st.AppWallCycles
+		want.Cache = st.Cache
+		want.Stat.Windows += st.Stat.Windows
+		want.Stat.Skipped += st.Stat.Skipped
+		want.Stat.Simulated += st.Stat.Simulated
+		want.Stat.EstimatedCycles += st.Stat.EstimatedCycles
+		for i, ts := range st.PerThread {
+			if i == len(want.PerThread) {
+				want.PerThread = append(want.PerThread, ThreadStats{ID: ts.ID})
+			}
+			want.PerThread[i].Cycles += ts.Cycles
+			want.PerThread[i].OverheadCycles += ts.OverheadCycles
+			want.PerThread[i].Instrs += ts.Instrs
+			want.PerThread[i].MemOps += ts.MemOps
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RunAll = %+v\nwant the phase sum %+v", got, want)
+	}
+	if want.Stat.Windows == 0 || len(want.PerThread) != 2 {
+		t.Errorf("the phases exercised too little: %+v", want)
+	}
+}
+
+// TestFastForwardBudgetSplit pins the statistical engine's split of an
+// inter-sample gap: the fast-forward prefix plus the warmup window
+// reconstructs the gap, and a gap no wider than the window yields no
+// fast-forward at all.
+func TestFastForwardBudgetSplit(t *testing.T) {
+	for _, tc := range []struct{ gap, window, want uint64 }{
+		{99, 64, 35},
+		{64, 64, 0},
+		{64, 1000, 0},
+	} {
+		if got := fastForward(tc.gap, tc.window); got != tc.want {
+			t.Errorf("fastForward(%d, %d) = %d, want %d", tc.gap, tc.window, got, tc.want)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func TestReportRenderingDeterministic(t *testing.T) {
 	}
 
 	render := func() (string, string) {
-		rep, err := core.Analyze(res.Profile, p, core.DefaultOptions())
+		rep, err := core.Analyze(res.Profile, p, core.Options{TopK: 3, MinLd: 0.01, AffinityThreshold: 0.5})
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}

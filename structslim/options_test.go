@@ -16,17 +16,8 @@ func TestSamplerConfigPlumbing(t *testing.T) {
 	if c.Period != pebs.DefaultConfig().Period || c.Mode != pebs.ModePEBSLL || !c.Randomize {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	c = Options{
-		SamplePeriod:     123,
-		IBS:              true,
-		NoRandomize:      true,
-		Seed:             9,
-		InterruptCost:    42,
-		SharedAttribCost: 7,
-		MinLatency:       5,
-	}.samplerConfig()
-	if c.Period != 123 || c.Mode != pebs.ModeIBS || c.Randomize || c.Seed != 9 ||
-		c.InterruptCost != 42 || c.SharedAttribCost != 7 || c.MinLatency != 5 {
+	c = Options{SamplePeriod: 123, IBS: true, Seed: 9}.samplerConfig()
+	if c.Period != 123 || c.Mode != pebs.ModeIBS || c.Seed != 9 {
 		t.Errorf("plumbing wrong: %+v", c)
 	}
 }
@@ -42,18 +33,17 @@ func TestCacheConfigPlumbing(t *testing.T) {
 	}
 }
 
+// TestCoresFor: Run and ProfileRun size the machine with vm.CoresFor,
+// the largest pinned core plus one, and one core for no phases.
 func TestCoresFor(t *testing.T) {
 	phases := []Phase{
 		{vm.ThreadSpec{Core: 0}, vm.ThreadSpec{Core: 3}},
 		{vm.ThreadSpec{Core: 1}},
 	}
-	if got := coresFor(phases, 0); got != 4 {
-		t.Errorf("coresFor = %d, want 4", got)
+	if got := vm.CoresFor(phases); got != 4 {
+		t.Errorf("CoresFor = %d, want 4", got)
 	}
-	if got := coresFor(phases, 8); got != 8 {
-		t.Errorf("override ignored: %d", got)
-	}
-	if got := coresFor(nil, 0); got != 1 {
+	if got := vm.CoresFor(nil); got != 1 {
 		t.Errorf("empty phases = %d, want 1", got)
 	}
 }

@@ -52,7 +52,7 @@ type StatReport struct {
 }
 
 // buildStatReport assembles the error report for one profiled run.
-func buildStatReport(window int, st vm.Stats, p *profile.Profile, opt Options) *StatReport {
+func buildStatReport(window int, st vm.Stats, p *profile.Profile) *StatReport {
 	r := &StatReport{
 		Window:            window,
 		Windows:           st.Stat.Windows,
@@ -75,14 +75,10 @@ func buildStatReport(window int, st vm.Stats, p *profile.Profile, opt Options) *
 			r.MissRatioCI95 = 1.96 * math.Sqrt(pr*(1-pr)/float64(l1.Accesses))
 		}
 	}
-	minSamples := opt.Analysis.MinStreamSamples
-	if minSamples == 0 {
-		minSamples = core.DefaultOptions().MinStreamSamples
-	}
 	if p != nil {
 		weakest := 0
 		for _, s := range p.Streams {
-			if s.Count < minSamples {
+			if s.Count < core.MinStreamSamples {
 				continue
 			}
 			if weakest == 0 || int(s.Count) < weakest {

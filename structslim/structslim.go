@@ -52,20 +52,10 @@ type Options struct {
 	IBS bool
 	// Seed drives period randomization deterministically.
 	Seed uint64
-	// NoRandomize disables sampling-period jitter.
-	NoRandomize bool
-	// InterruptCost / SharedAttribCost override the sampler's overhead
-	// model when nonzero.
-	InterruptCost    uint64
-	SharedAttribCost uint64
-	// MinLatency is the PEBS-LL latency threshold filter.
-	MinLatency uint32
 
 	// Cache overrides the simulated hierarchy (nil = the paper's Xeon
 	// E5-4650L model).
 	Cache *cache.Config
-	// Cores sets the simulated core count (0 = max core used + 1).
-	Cores int
 	// VM tunes the interpreter. VM.StatWindow > 0 profiles in
 	// sampled-window statistical mode: only that many accesses of warmup
 	// before each sample (plus the sample itself) run the full cache
@@ -80,6 +70,8 @@ type Options struct {
 	Analysis core.Options
 }
 
+// samplerConfig is the paper's sampler (pebs.DefaultConfig) at the
+// options' period, mode and seed.
 func (o Options) samplerConfig() pebs.Config {
 	c := pebs.DefaultConfig()
 	if o.SamplePeriod != 0 {
@@ -89,14 +81,6 @@ func (o Options) samplerConfig() pebs.Config {
 		c.Mode = pebs.ModeIBS
 	}
 	c.Seed = o.Seed
-	c.Randomize = !o.NoRandomize
-	if o.InterruptCost != 0 {
-		c.InterruptCost = o.InterruptCost
-	}
-	if o.SharedAttribCost != 0 {
-		c.SharedAttribCost = o.SharedAttribCost
-	}
-	c.MinLatency = o.MinLatency
 	return c
 }
 
@@ -105,13 +89,6 @@ func (o Options) cacheConfig() cache.Config {
 		return *o.Cache
 	}
 	return cache.DefaultConfig()
-}
-
-func coresFor(phases []Phase, override int) int {
-	if override > 0 {
-		return override
-	}
-	return vm.CoresFor(phases)
 }
 
 func maxThreads(phases []Phase) int {
@@ -138,76 +115,26 @@ type RunResult struct {
 	Stat *StatReport
 }
 
-// normalizePhases defaults to a single thread running the entry function.
-func normalizePhases(p *prog.Program, phases []Phase) []Phase {
-	if len(phases) == 0 {
-		return []Phase{{vm.ThreadSpec{Fn: p.EntryFn}}}
-	}
-	return phases
-}
-
-// runPhases executes all phases on one machine, accumulating stats.
-func runPhases(m *vm.Machine, phases []Phase) (vm.Stats, error) {
-	var total vm.Stats
-	perThread := make(map[int]*vm.ThreadStats)
-	for _, ph := range phases {
-		st, err := m.Run(ph)
-		if err != nil {
-			return vm.Stats{}, err
-		}
-		total.Instrs += st.Instrs
-		total.MemOps += st.MemOps
-		total.WallCycles += st.WallCycles
-		total.AppWallCycles += st.AppWallCycles
-		total.Cache = st.Cache // machine counters are cumulative
-		total.Stat.Windows += st.Stat.Windows
-		total.Stat.Skipped += st.Stat.Skipped
-		total.Stat.Simulated += st.Stat.Simulated
-		total.Stat.EstimatedCycles += st.Stat.EstimatedCycles
-		for _, ts := range st.PerThread {
-			agg := perThread[ts.ID]
-			if agg == nil {
-				agg = &vm.ThreadStats{ID: ts.ID}
-				perThread[ts.ID] = agg
-			}
-			agg.Cycles += ts.Cycles
-			agg.OverheadCycles += ts.OverheadCycles
-			agg.Instrs += ts.Instrs
-			agg.MemOps += ts.MemOps
-		}
-	}
-	for id := 0; ; id++ {
-		ts, ok := perThread[id]
-		if !ok {
-			break
-		}
-		total.PerThread = append(total.PerThread, *ts)
-	}
-	return total, nil
-}
-
 // Run executes the program without profiling and returns baseline timing
 // and cache statistics.
 func Run(p *prog.Program, phases []Phase, opt Options) (vm.Stats, error) {
-	phases = normalizePhases(p, phases)
-	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), opt.VM)
+	m, err := vm.NewMachine(p, opt.cacheConfig(), vm.CoresFor(phases), opt.VM)
 	if err != nil {
 		return vm.Stats{}, err
 	}
-	return runPhases(m, phases)
+	return m.RunAll(phases)
 }
 
 // ProfileRun executes the program with the PEBS-style sampler attached
 // and returns the run statistics plus the merged profile.
 func ProfileRun(p *prog.Program, phases []Phase, opt Options) (*RunResult, error) {
-	phases = normalizePhases(p, phases)
-	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), opt.VM)
+	m, err := vm.NewMachine(p, opt.cacheConfig(), vm.CoresFor(phases), opt.VM)
 	if err != nil {
 		return nil, err
 	}
 	sampler := pebs.NewSampler(opt.samplerConfig(), m.Space, maxThreads(phases))
 	m.Observer = sampler
-	stats, err := runPhases(m, phases)
+	stats, err := m.RunAll(phases)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +145,7 @@ func ProfileRun(p *prog.Program, phases []Phase, opt Options) (*RunResult, error
 	}
 	res := &RunResult{Stats: stats, Profile: merged, ThreadProfiles: tps}
 	if opt.VM.StatWindow > 0 {
-		res.Stat = buildStatReport(opt.VM.StatWindow, stats, merged, opt)
+		res.Stat = buildStatReport(opt.VM.StatWindow, stats, merged)
 	}
 	return res, nil
 }
