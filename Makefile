@@ -63,8 +63,11 @@ stream-smoke:
 
 # vet-sharing: the false-sharing acceptance smoke — the planted fixture
 # must be flagged statically and confirmed by the coherence cross-check.
+# Each vet run writes its output to a file, prints it and exits with
+# vet's status: piped into tee, the line would take tee's status instead.
 vet-sharing:
-	$(GO) run ./cmd/structslim vet -sharing -workload falseshare | tee /tmp/vet-sharing.out
+	$(GO) run ./cmd/structslim vet -sharing -workload falseshare > /tmp/vet-sharing.out; \
+		rc=$$?; cat /tmp/vet-sharing.out; exit $$rc
 	@grep -q "FALSE-SHARING stats._Stat" /tmp/vet-sharing.out
 	@grep -q "CONFIRMED" /tmp/vet-sharing.out
 
@@ -72,10 +75,12 @@ vet-sharing:
 # illegal-split fixture must freeze (escaping field address) while ART,
 # the paper's flagship split, stays provably safe and replay-clean.
 vet-legality:
-	$(GO) run ./cmd/structslim vet -legality -workload escape | tee /tmp/vet-legality.out
+	$(GO) run ./cmd/structslim vet -legality -workload escape > /tmp/vet-legality.out; \
+		rc=$$?; cat /tmp/vet-legality.out; exit $$rc
 	@grep -q "packets.packet (struct packet.*FROZEN" /tmp/vet-legality.out
 	@grep -q "LEGALITY-OK" /tmp/vet-legality.out
-	$(GO) run ./cmd/structslim vet -legality -workload art | tee /tmp/vet-legality-art.out
+	$(GO) run ./cmd/structslim vet -legality -workload art > /tmp/vet-legality-art.out; \
+		rc=$$?; cat /tmp/vet-legality-art.out; exit $$rc
 	@grep -q "SPLIT-SAFE" /tmp/vet-legality-art.out
 	@grep -q "LEGALITY-OK" /tmp/vet-legality-art.out
 

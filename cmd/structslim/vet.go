@@ -125,7 +125,7 @@ func vetOne(w workloads.Workload, sc workloads.Scale, period, seed uint64, stati
 	}
 	if withSharing {
 		cacheCfg := cache.DefaultConfig()
-		sa, err := sharing.Analyze(p, phases, int64(cacheCfg.LineSize), a)
+		sa, err := sharing.Analyze(p, phases, int64(cacheCfg.LineSize))
 		if err != nil {
 			return false, err
 		}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/prog"
 	"repro/internal/sharing"
-	"repro/internal/staticlint"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 	"repro/structslim"
@@ -46,12 +45,8 @@ func main() {
 	// Static pass: thread roles from the phase list, per-field sharing
 	// classes from the dataflow, false-sharing findings from the claims
 	// plus the layout.
-	la, err := staticlint.AnalyzeProgram(p)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := cache.DefaultConfig()
-	a, err := sharing.Analyze(p, phases, int64(cfg.LineSize), la)
+	a, err := sharing.Analyze(p, phases, int64(cfg.LineSize))
 	if err != nil {
 		log.Fatal(err)
 	}

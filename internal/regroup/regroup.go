@@ -30,7 +30,8 @@ import (
 type Options struct {
 	// AffinityThreshold is the clustering cut (default 0.5).
 	AffinityThreshold float64
-	// MinLd drops arrays below this share of total latency (default 1%).
+	// MinLd drops arrays below this share of total latency; 0 keeps
+	// every array, as core.Options.MinLd keeps every structure.
 	MinLd float64
 	// Frozen is the set of identities the transform-legality pass
 	// refused to touch (legality.FrozenIdentities). Frozen arrays are
@@ -39,22 +40,15 @@ type Options struct {
 	Frozen map[uint64]bool
 }
 
-// DefaultOptions returns the defaults.
-func DefaultOptions() Options {
-	return Options{AffinityThreshold: 0.5, MinLd: 0.01}
-}
-
 // maxStride is the largest dominant stream stride a candidate may have
 // and still count as a dense array: one 64-byte line.
 const maxStride = 64
 
+// withDefaults fills the paper's 0.5 affinity cut into an unset
+// threshold.
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
 	if o.AffinityThreshold == 0 {
-		o.AffinityThreshold = d.AffinityThreshold
-	}
-	if o.MinLd == 0 {
-		o.MinLd = d.MinLd
+		o.AffinityThreshold = 0.5
 	}
 	return o
 }

@@ -204,3 +204,43 @@ func TestRegroupNilArgs(t *testing.T) {
 		t.Error("nil args accepted")
 	}
 }
+
+// TestRegroupZeroMinLdKeepsColdArrays: zero Options keep a dense array
+// however small its latency share, as a zero core.Options.MinLd keeps
+// every structure.
+func TestRegroupZeroMinLdKeepsColdArrays(t *testing.T) {
+	b := prog.NewBuilder("cold")
+	hotG := b.Global("hot", 8192*8, -1)
+	coldG := b.Global("cold", 1024*8, -1)
+	b.Func("main", "c.c")
+	hot, cold, i, rep, v := b.R(), b.R(), b.R(), b.R(), b.R()
+	b.GAddr(hot, hotG)
+	b.GAddr(cold, coldG)
+	b.ForRange(i, 0, 1024, 1, func() {
+		b.Load(v, cold, i, 8, 0, 8)
+	})
+	b.ForRange(rep, 0, 40, 1, func() {
+		b.ForRange(i, 0, 8192, 1, func() {
+			b.Load(v, hot, i, 8, 0, 8)
+		})
+	})
+	b.Halt()
+	p := b.MustProgram()
+	res, err := structslim.ProfileRun(p, nil, structslim.Options{SamplePeriod: 100, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := regroup.Analyze(res.Profile, p, regroup.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rr.Candidates {
+		if c.Name == "cold" {
+			if c.Ld >= 0.01 {
+				t.Fatalf("cold array's latency share = %.4f, the case needs it below 1%%", c.Ld)
+			}
+			return
+		}
+	}
+	t.Errorf("candidates = %+v, want the cold array kept", rr.Candidates)
+}

@@ -31,7 +31,7 @@ func (a *Analysis) classifyRole(role *Role, streams []streamFact) {
 	for i := range streams {
 		sf := &streams[i]
 		write := sf.op == isa.Store
-		if sf.ea.kind != avLin || sf.ea.base.kind != baseGlobal {
+		if !sf.ea.attributed {
 			// Pointer chases, heap addresses, raw constants: no object to
 			// attribute to. Writes poison the role's exactness (an unknown
 			// store may hit anything); reads are only counted.
@@ -42,7 +42,7 @@ func (a *Analysis) classifyRole(role *Role, streams []streamFact) {
 			}
 			continue
 		}
-		k := bkey{global: sf.ea.base.global, field: a.fieldOf(sf)}
+		k := bkey{global: sf.ea.global, field: a.fieldOf(sf)}
 		b := buckets[k]
 		if b == nil {
 			b = &bucket{}
@@ -110,7 +110,7 @@ func (a *Analysis) classifyRole(role *Role, streams []streamFact) {
 // constant parts, thread strides that walk across fields, or accesses
 // straddling a field boundary.
 func (a *Analysis) fieldOf(sf *streamFact) int {
-	st := a.Program.TypeOfGlobal(sf.ea.base.global)
+	st := a.Program.TypeOfGlobal(sf.ea.global)
 	if st == nil || st.Size <= 0 || sf.ea.cU {
 		return -1
 	}

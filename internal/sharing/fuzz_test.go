@@ -134,7 +134,7 @@ func FuzzSharingClassifier(f *testing.F) {
 		if p == nil {
 			return // malformed program rejected by the builder, fine
 		}
-		a, err := sharing.Analyze(p, phases, 64, nil) // must not panic
+		a, err := sharing.Analyze(p, phases, 64) // must not panic
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}
@@ -158,7 +158,7 @@ func FuzzSharingClassifier(f *testing.F) {
 		if pr == nil {
 			t.Fatal("store-demoted twin rejected but original accepted")
 		}
-		ar, err := sharing.Analyze(pr, prPhases, 64, nil)
+		ar, err := sharing.Analyze(pr, prPhases, 64)
 		if err != nil {
 			t.Fatalf("Analyze demoted twin: %v", err)
 		}

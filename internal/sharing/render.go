@@ -67,10 +67,6 @@ func (a *Analysis) RenderText(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-
-	for _, n := range a.Notes {
-		fmt.Fprintf(w, "  NOTE: %s\n", n)
-	}
 }
 
 // RenderText summarizes the coherence-backed cross-check, listing every

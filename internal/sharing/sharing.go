@@ -3,9 +3,10 @@
 // predicts per-loop strides of a single thread, sharing asks *which
 // threads touch which struct fields*. It derives thread roles from a
 // workload's execution phases (groups of threads running the same
-// function with per-thread arguments), reruns an address dataflow with
-// the thread index as a symbolic parameter, and classifies every
-// (role, object, field) as thread-private, read-shared, or write-shared.
+// function with per-thread arguments), solves staticlint's affine
+// address domain per role with the thread index as one more symbol, and
+// classifies every (role, object, field) as thread-private,
+// read-shared, or write-shared.
 //
 // The classification composes with the layout facts the program already
 // carries (struct types, field offsets, element strides): fields written
@@ -36,7 +37,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/prog"
-	"repro/internal/staticlint"
 	"repro/internal/vm"
 )
 
@@ -167,18 +167,12 @@ type Analysis struct {
 	// address never resolved to an object (pointer chases, unknown
 	// bases). Unattributed writes demote the whole role to Hint.
 	UnattributedReads, UnattributedWrites map[*Role]int
-
-	// Notes carries internal consistency observations, e.g. a base
-	// disagreement with staticlint's resolver on the same instruction.
-	Notes []string
 }
 
 // Analyze runs the sharing classification. phases is the workload's
 // phase list (the same value handed to the vm); lineSize is the cache
-// line size the false-sharing prediction targets (0 = 64). la is an
-// optional staticlint analysis of the same program used to cross-tag
-// base resolutions; nil is fine.
-func Analyze(p *prog.Program, phases [][]vm.ThreadSpec, lineSize int64, la *staticlint.Analysis) (*Analysis, error) {
+// line size the false-sharing prediction targets (0 = 64).
+func Analyze(p *prog.Program, phases [][]vm.ThreadSpec, lineSize int64) (*Analysis, error) {
 	if !p.Finalized() {
 		return nil, fmt.Errorf("program %s not finalized", p.Name)
 	}
@@ -197,7 +191,6 @@ func Analyze(p *prog.Program, phases [][]vm.ThreadSpec, lineSize int64, la *stat
 		if !converged {
 			role.Unanalyzed = true
 		}
-		a.checkStaticlintBases(streams, la)
 		a.classifyRole(role, streams)
 	}
 	sort.Slice(a.Claims, func(i, j int) bool {
@@ -216,35 +209,6 @@ func Analyze(p *prog.Program, phases [][]vm.ThreadSpec, lineSize int64, la *stat
 		return a.FalseShares[i].Global < a.FalseShares[j].Global
 	})
 	return a, nil
-}
-
-// checkStaticlintBases compares this pass's base resolution against
-// staticlint's on every instruction where both sides claim an exact
-// base. A disagreement means one of the two dataflows is wrong; it is
-// recorded as a note so the vet output surfaces it.
-func (a *Analysis) checkStaticlintBases(streams []streamFact, la *staticlint.Analysis) {
-	if la == nil {
-		return
-	}
-	for i := range streams {
-		sf := &streams[i]
-		if sf.ea.kind != avLin || sf.ea.base.kind != baseGlobal {
-			continue
-		}
-		sp := la.StreamAt(sf.ip)
-		if sp == nil {
-			continue
-		}
-		bo, ok := sp.BaseOf()
-		if !ok || !bo.IsGlobal {
-			continue
-		}
-		if bo.Global != sf.ea.base.global {
-			a.Notes = append(a.Notes, fmt.Sprintf(
-				"base disagreement at %s: sharing resolved g%d, staticlint resolved g%d",
-				sf.where, sf.ea.base.global, bo.Global))
-		}
-	}
 }
 
 // FindClaim returns the claim for (phase, global, field), or nil.

@@ -7,26 +7,20 @@ import (
 	"repro/internal/cache"
 	"repro/internal/prog"
 	"repro/internal/sharing"
-	"repro/internal/staticlint"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 	"repro/structslim"
 )
 
 // analyzeWorkload builds a workload at test scale and runs the static
-// sharing analysis over it, with the staticlint layout facts attached
-// the way vet does.
+// sharing analysis over it.
 func analyzeWorkload(t *testing.T, w workloads.Workload) (*prog.Program, []workloads.Phase, *sharing.Analysis) {
 	t.Helper()
 	p, phases, err := w.Build(nil, workloads.ScaleTest)
 	if err != nil {
 		t.Fatalf("build %s: %v", w.Name(), err)
 	}
-	la, err := staticlint.AnalyzeProgram(p)
-	if err != nil {
-		t.Fatalf("staticlint %s: %v", w.Name(), err)
-	}
-	a, err := sharing.Analyze(p, phases, int64(cache.DefaultConfig().LineSize), la)
+	a, err := sharing.Analyze(p, phases, int64(cache.DefaultConfig().LineSize))
 	if err != nil {
 		t.Fatalf("sharing analyze %s: %v", w.Name(), err)
 	}

@@ -165,7 +165,7 @@ type funcAnalysis struct {
 
 	// in[b] is the converged register state at entry of block b (⊥
 	// everywhere when b is unreachable).
-	in        [][]expr
+	in        [][]Addr
 	converged bool
 
 	// fnIsCalled marks functions reachable through Call instructions: a
@@ -312,28 +312,28 @@ func (fa *funcAnalysis) allocInLoop(b baseRef, lid int) bool {
 
 // entryState is the abstract register file at function entry: the zero
 // register is 0, everything else (arguments included) is unknown.
-func entryState() []expr {
-	st := make([]expr, isa.NumRegs)
+func entryState() []Addr {
+	st := make([]Addr, isa.NumRegs)
 	for i := range st {
-		st[i] = top()
+		st[i] = TopAddr()
 	}
-	st[isa.RZ] = constant(0)
+	st[isa.RZ] = ConstAddr(0)
 	return st
 }
 
 // solve runs the dataflow to a fixpoint. Returns false when the sweep
 // budget ran out (the function is then reported unanalyzed).
 func (fa *funcAnalysis) solve() bool {
-	fa.in, fa.converged = cfg.Solve(fa.g, cfg.Flow[expr]{
+	fa.in, fa.converged = cfg.Solve(fa.g, cfg.Flow[Addr]{
 		Entry:    entryState(),
 		Join:     join,
-		Equal:    expr.equal,
-		Transfer: fa.transfer,
+		Equal:    Addr.equal,
+		Transfer: transfer,
 		Refine:   fa.atHeader,
 	})
 	for b := range fa.in {
 		if fa.in[b] == nil {
-			fa.in[b] = make([]expr, isa.NumRegs) // unreachable: ⊥ everywhere
+			fa.in[b] = make([]Addr, isa.NumRegs) // unreachable: ⊥ everywhere
 		}
 	}
 	return fa.converged
@@ -342,7 +342,7 @@ func (fa *funcAnalysis) solve() bool {
 // atHeader applies the loop-header rules to the joined in-state of a
 // reducible loop header: it pins the induction variables and applies the
 // demotions that keep loop-counter symbols sound.
-func (fa *funcAnalysis) atHeader(b int, st []expr, joinFrom func(keep func(p int) bool) []expr) {
+func (fa *funcAnalysis) atHeader(b int, st []Addr, joinFrom func(keep func(p int) bool) []Addr) {
 	lid := fa.headerLoop(b)
 	if lid < 0 || fa.forest.Loops[lid].Irreducible {
 		return
@@ -368,12 +368,12 @@ func (fa *funcAnalysis) atHeader(b int, st []expr, joinFrom func(keep func(p int
 			case exprBottom:
 				st[r] = bottom()
 			case exprTop:
-				st[r] = expr{kind: exprLinU}.addTerm(iv, step)
+				st[r] = Addr{kind: exprLinU}.addTerm(iv, step)
 			default:
 				if e.hasTerm(iv) || fa.allocInLoop(e.base, lid) {
 					// A stale counter symbol of this very loop, or a base
 					// allocated inside it: no sound linear form exists.
-					st[r] = top()
+					st[r] = TopAddr()
 				} else {
 					st[r] = e.addTerm(iv, step)
 				}
@@ -385,33 +385,35 @@ func (fa *funcAnalysis) atHeader(b int, st []expr, joinFrom func(keep func(p int
 		// a previous execution of the loop), and a base allocated inside
 		// the loop differs per iteration.
 		if st[r].known() && (st[r].hasTerm(iv) || fa.allocInLoop(st[r].base, lid)) {
-			st[r] = top()
+			st[r] = TopAddr()
 		}
 	}
 }
 
-// transfer applies one instruction to the state in place.
-func (fa *funcAnalysis) transfer(in *isa.Instr, st []expr) {
-	set := func(r isa.Reg, v expr) {
+// transfer applies one instruction to the state in place. It is the one
+// affine transfer of the IR: staticlint and the sharing analysis both
+// solve with it.
+func transfer(in *isa.Instr, st []Addr) {
+	set := func(r isa.Reg, v Addr) {
 		if r != isa.RZ {
 			st[r] = v
 		}
 	}
-	val := func(r isa.Reg) expr {
+	val := func(r isa.Reg) Addr {
 		if r == isa.RZ {
-			return constant(0)
+			return ConstAddr(0)
 		}
 		return st[r]
 	}
 	switch in.Op {
 	case isa.MovI:
-		set(in.Rd, constant(in.Imm))
+		set(in.Rd, ConstAddr(in.Imm))
 	case isa.Mov:
 		set(in.Rd, val(in.Rs1))
 	case isa.Add:
 		set(in.Rd, add(val(in.Rs1), val(in.Rs2)))
 	case isa.AddI:
-		set(in.Rd, add(val(in.Rs1), constant(in.Imm)))
+		set(in.Rd, add(val(in.Rs1), ConstAddr(in.Imm)))
 	case isa.Sub:
 		set(in.Rd, sub(val(in.Rs1), val(in.Rs2)))
 	case isa.Mul:
@@ -422,7 +424,7 @@ func (fa *funcAnalysis) transfer(in *isa.Instr, st []expr) {
 		case b.isConst():
 			set(in.Rd, mulConst(a, b.c))
 		default:
-			set(in.Rd, top())
+			set(in.Rd, TopAddr())
 		}
 	case isa.MulI:
 		set(in.Rd, mulConst(val(in.Rs1), in.Imm))
@@ -430,63 +432,97 @@ func (fa *funcAnalysis) transfer(in *isa.Instr, st []expr) {
 		if b := val(in.Rs2); b.isConst() {
 			set(in.Rd, mulConst(val(in.Rs1), 1<<(uint64(b.c)&63)))
 		} else {
-			set(in.Rd, top())
+			set(in.Rd, TopAddr())
 		}
 	case isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shr:
 		a, b := val(in.Rs1), val(in.Rs2)
 		if a.isConst() && b.isConst() {
-			set(in.Rd, constant(isa.FoldALU(in.Op, a.c, b.c)))
+			set(in.Rd, ConstAddr(isa.FoldALU(in.Op, a.c, b.c)))
 		} else {
-			set(in.Rd, top())
+			set(in.Rd, TopAddr())
 		}
 	case isa.GAddr:
 		set(in.Rd, baseExpr(baseRef{Kind: baseGlobal, Global: int(in.Imm)}))
 	case isa.Alloc:
 		set(in.Rd, baseExpr(baseRef{Kind: baseAlloc, AllocIP: in.IP}))
 	case isa.Load, isa.CvtFI, isa.CvtIF, isa.FAdd, isa.FSub, isa.FMul, isa.FDiv, isa.FSqrt:
-		set(in.Rd, top())
+		set(in.Rd, TopAddr())
 	case isa.Call:
-		set(isa.RetReg, top())
+		set(isa.RetReg, TopAddr())
 	}
 }
 
 // eaExpr computes the abstract effective address of a memory instruction
 // given the register state just before it.
-func eaExpr(in *isa.Instr, st []expr) expr {
-	val := func(r isa.Reg) expr {
+func eaExpr(in *isa.Instr, st []Addr) Addr {
+	val := func(r isa.Reg) Addr {
 		if r == isa.RZ {
-			return constant(0)
+			return ConstAddr(0)
 		}
 		return st[r]
 	}
 	ea := add(val(in.Rs1), mulConst(val(in.Rs2), in.EffScale()))
-	return add(ea, constant(in.Disp))
+	return add(ea, ConstAddr(in.Disp))
 }
 
-// predictions walks every block with the converged state and emits one
-// StreamPred per Load/Store.
+// Access is one Load/Store of a solved function and its abstract
+// effective address.
+type Access struct {
+	Instr *isa.Instr
+	Addr  Addr
+	block int
+}
+
+// accesses walks f's blocks in order from the in-states of a solve and
+// returns every Load/Store with its effective address. A block without an
+// in-state (unreachable) starts at ⊥, so only addresses built inside it
+// resolve.
+func accesses(f *prog.Func, in [][]Addr) []Access {
+	var out []Access
+	for b, blk := range f.Blocks {
+		st := make([]Addr, isa.NumRegs)
+		copy(st, in[b])
+		for i := range blk.Instrs {
+			ins := &blk.Instrs[i]
+			if ins.Op.IsMemAccess() {
+				out = append(out, Access{Instr: ins, Addr: eaExpr(ins, st), block: b})
+			}
+			transfer(ins, st)
+		}
+	}
+	return out
+}
+
+// SolveAccesses solves f's address dataflow from the entry register file
+// and returns every Load/Store with its effective address, in block
+// order. It applies no loop-header rule, so no loop-counter symbol
+// appears and a value carried around a loop joins its pre-loop value at
+// the header. ok is false when the fixpoint ran out of sweeps.
+func SolveAccesses(f *prog.Func, entry []Addr) (acc []Access, ok bool) {
+	in, ok := cfg.Solve(cfg.Build(f), cfg.Flow[Addr]{
+		Entry:    entry,
+		Join:     join,
+		Equal:    Addr.equal,
+		Transfer: transfer,
+	})
+	if !ok {
+		return nil, false
+	}
+	return accesses(f, in), true
+}
+
+// predictions emits one StreamPred per Load/Store of the function.
 func (fa *funcAnalysis) predictions(loops *cfg.ProgramLoops) []*StreamPred {
 	var preds []*StreamPred
-	for b := range fa.f.Blocks {
-		var st []expr
-		if fa.converged {
-			st = append([]expr(nil), fa.in[b]...)
-		}
-		for i := range fa.f.Blocks[b].Instrs {
-			in := &fa.f.Blocks[b].Instrs[i]
-			if in.Op.IsMemAccess() {
-				preds = append(preds, fa.predictStream(in, b, st, loops))
-			}
-			if st != nil {
-				fa.transfer(in, st)
-			}
-		}
+	for _, ac := range accesses(fa.f, fa.in) {
+		preds = append(preds, fa.predictStream(ac, loops))
 	}
 	return preds
 }
 
 // predictStream builds the prediction for one memory instruction.
-func (fa *funcAnalysis) predictStream(in *isa.Instr, block int, st []expr, loops *cfg.ProgramLoops) *StreamPred {
+func (fa *funcAnalysis) predictStream(ac Access, loops *cfg.ProgramLoops) *StreamPred {
+	in := ac.Instr
 	sp := &StreamPred{
 		IP:   in.IP,
 		FnID: fa.f.ID,
@@ -500,18 +536,18 @@ func (fa *funcAnalysis) predictStream(in *isa.Instr, block int, st []expr, loops
 	// Enclosing loops, innermost first, and the irreducibility demotion.
 	irreducible := false
 	var enclosing []int
-	for lid := fa.forest.InnermostOf[block]; lid >= 0; lid = fa.forest.Loops[lid].Parent {
+	for lid := fa.forest.InnermostOf[ac.block]; lid >= 0; lid = fa.forest.Loops[lid].Parent {
 		enclosing = append(enclosing, lid)
 		if fa.forest.Loops[lid].Irreducible {
 			irreducible = true
 		}
 	}
 
-	if st == nil {
+	if !fa.converged {
 		sp.Reason = "dataflow did not converge"
 		return sp
 	}
-	ea := eaExpr(in, st)
+	ea := ac.Addr
 	if irreducible {
 		sp.Reason = "inside an irreducible loop"
 		return sp
@@ -655,8 +691,8 @@ func (a *Analysis) describeBase(b baseRef) (name string, typeID, debugSize int) 
 }
 
 // BaseObject is the exported view of a stream's resolved base, for
-// other analyses (internal/sharing cross-tags its own base resolution
-// against this one) without exposing the internal baseRef lattice.
+// other analyses (internal/legality attributes exact streams by it)
+// without exposing the internal baseRef lattice.
 type BaseObject struct {
 	IsGlobal bool
 	Global   int // valid when IsGlobal

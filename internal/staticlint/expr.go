@@ -21,22 +21,30 @@ import (
 	"strings"
 )
 
-// ivRef names one loop's symbolic iteration counter κ: the counter of the
-// reducible loop with the given header block in the given function.
+// ivRef names one symbol of the linear form: a loop's iteration counter
+// κ, the counter of the reducible loop with the given header block in the
+// given function, or tidSym.
 type ivRef struct {
 	Fn     int
 	Header int
 }
 
+// tidSym is the thread index t. Only entry states built with TidAddr
+// carry it: the sharing analysis seeds a thread role's arguments with it.
+var tidSym = ivRef{Fn: -1, Header: -1}
+
 // baseKind classifies the base object of a resolved address expression.
 type baseKind uint8
 
-// Base kinds. baseNone means the expression is a plain integer (or an
-// address with statically unknown base).
+// Base kinds. baseNone means the expression is a plain integer.
+// baseUnknown is the merge of paths over different bases: an address
+// whose base is some object, but not one statically known. It never
+// cancels, so it cannot be subtracted, scaled or added to a second base.
 const (
 	baseNone baseKind = iota
 	baseGlobal
 	baseAlloc
+	baseUnknown
 )
 
 // baseRef identifies the base data object of an address: a program global
@@ -56,49 +64,79 @@ const (
 	// exprLin: fully resolved linear form base + const + Σ coeff·κ.
 	exprLin
 	// exprLinU: linear form whose constant part (and possibly base) is
-	// unknown, but whose loop-counter coefficients are known. Predictions
-	// from such values are hints, not hard claims.
+	// unknown, but whose symbol coefficients are known. Predictions from
+	// such values are hints, not hard claims.
 	exprLinU
 	// exprTop: statically unknown.
 	exprTop
 )
 
-// expr is one abstract value: a linear combination of loop counters over
-// an optional base object plus a constant, or ⊥/⊤.
+// Addr is one abstract register value, the address domain of staticlint
+// and of the sharing analysis: a linear combination of symbols (loop
+// counters and the thread index) over an optional base object plus a
+// constant, or ⊥/⊤.
 //
-// expr values are treated as immutable once built; terms maps are never
+// Addr values are treated as immutable once built; terms maps are never
 // mutated in place after construction.
-type expr struct {
+type Addr struct {
 	kind  exprKind
 	base  baseRef
 	c     int64
 	terms map[ivRef]int64 // nonzero coefficients only
 }
 
-func bottom() expr { return expr{kind: exprBottom} }
-func top() expr    { return expr{kind: exprTop} }
+func bottom() Addr { return Addr{kind: exprBottom} }
 
-func constant(c int64) expr { return expr{kind: exprLin, c: c} }
+// TopAddr is ⊤, the statically unknown value.
+func TopAddr() Addr { return Addr{kind: exprTop} }
 
-func baseExpr(b baseRef) expr { return expr{kind: exprLin, base: b} }
+// ConstAddr is the plain integer c.
+func ConstAddr(c int64) Addr { return Addr{kind: exprLin, c: c} }
 
-func (e expr) isConst() bool {
+// TidAddr is step·t + c over the thread index t.
+func TidAddr(step, c int64) Addr { return ConstAddr(c).addTerm(tidSym, step) }
+
+func baseExpr(b baseRef) Addr { return Addr{kind: exprLin, base: b} }
+
+// GlobalBase returns the program global the address lies in; ok is false
+// for ⊥, ⊤, plain integers, heap addresses and merges of different bases.
+func (e Addr) GlobalBase() (global int, ok bool) {
+	if !e.known() || e.base.Kind != baseGlobal {
+		return 0, false
+	}
+	return e.base.Global, true
+}
+
+// TidCoeff returns the coefficient of the thread index t (0 if absent).
+func (e Addr) TidCoeff() int64 { return e.coeff(tidSym) }
+
+// KnownConst returns the constant part of the address; ok is false when
+// it is unknown (the value varies across iterations or merged paths) or
+// the value is ⊥/⊤.
+func (e Addr) KnownConst() (c int64, ok bool) {
+	if e.kind != exprLin {
+		return 0, false
+	}
+	return e.c, true
+}
+
+func (e Addr) isConst() bool {
 	return e.kind == exprLin && e.base.Kind == baseNone && len(e.terms) == 0
 }
 
 // known reports whether the value carries any linear structure (exprLin or
 // exprLinU).
-func (e expr) known() bool { return e.kind == exprLin || e.kind == exprLinU }
+func (e Addr) known() bool { return e.kind == exprLin || e.kind == exprLinU }
 
 // hasTerm reports whether κ of the given loop appears with a nonzero
 // coefficient.
-func (e expr) hasTerm(iv ivRef) bool {
+func (e Addr) hasTerm(iv ivRef) bool {
 	_, ok := e.terms[iv]
 	return ok
 }
 
 // coeff returns the coefficient of the given loop counter (0 if absent).
-func (e expr) coeff(iv ivRef) int64 { return e.terms[iv] }
+func (e Addr) coeff(iv ivRef) int64 { return e.terms[iv] }
 
 func cloneTerms(t map[ivRef]int64) map[ivRef]int64 {
 	if len(t) == 0 {
@@ -123,12 +161,12 @@ func termsEqual(a, b map[ivRef]int64) bool {
 	return true
 }
 
-func (e expr) equal(o expr) bool {
+func (e Addr) equal(o Addr) bool {
 	return e.kind == o.kind && e.base == o.base && e.c == o.c && termsEqual(e.terms, o.terms)
 }
 
 // addTerm returns e with coefficient k added to loop counter iv.
-func (e expr) addTerm(iv ivRef, k int64) expr {
+func (e Addr) addTerm(iv ivRef, k int64) Addr {
 	if k == 0 {
 		return e
 	}
@@ -145,39 +183,39 @@ func (e expr) addTerm(iv ivRef, k int64) expr {
 }
 
 // join is the lattice join (control-flow merge) of two abstract values.
-func join(a, b expr) expr {
+func join(a, b Addr) Addr {
 	switch {
 	case a.kind == exprBottom:
 		return b
 	case b.kind == exprBottom:
 		return a
 	case a.kind == exprTop || b.kind == exprTop:
-		return top()
+		return TopAddr()
 	case a.equal(b):
 		return a
 	}
-	// Both linear-ish but unequal: if the loop-counter coefficients agree
-	// the merge still has a known stride shape — keep it as a hint with
-	// the base preserved only when both sides agree on it.
+	// Both linear-ish but unequal: if the symbol coefficients agree the
+	// merge still has a known stride shape — keep it as a hint, with the
+	// base preserved when both sides agree on it and unknown otherwise.
 	if termsEqual(a.terms, b.terms) {
-		out := expr{kind: exprLinU, terms: a.terms}
-		if a.base == b.base {
-			out.base = a.base
+		out := Addr{kind: exprLinU, base: a.base, terms: a.terms}
+		if a.base != b.base {
+			out.base = baseRef{Kind: baseUnknown}
 		}
 		return out
 	}
-	return top()
+	return TopAddr()
 }
 
 // add returns the abstract sum a + b.
-func add(a, b expr) expr {
+func add(a, b Addr) Addr {
 	if !a.known() || !b.known() {
-		return top()
+		return TopAddr()
 	}
 	if a.base.Kind != baseNone && b.base.Kind != baseNone {
-		return top() // pointer + pointer: not a meaningful address form
+		return TopAddr() // pointer + pointer: not a meaningful address form
 	}
-	out := expr{kind: exprLin, base: a.base, c: a.c + b.c}
+	out := Addr{kind: exprLin, base: a.base, c: a.c + b.c}
 	if b.base.Kind != baseNone {
 		out.base = b.base
 	}
@@ -199,19 +237,20 @@ func add(a, b expr) expr {
 }
 
 // sub returns the abstract difference a − b. Subtracting a matching base
-// cancels it (pointer difference); subtracting a different base is ⊤.
-func sub(a, b expr) expr {
+// cancels it (pointer difference); subtracting a different or unknown
+// base is ⊤.
+func sub(a, b Addr) Addr {
 	if !a.known() || !b.known() {
-		return top()
+		return TopAddr()
 	}
 	if b.base.Kind != baseNone {
-		if a.base != b.base {
-			return top()
+		if a.base != b.base || b.base.Kind == baseUnknown {
+			return TopAddr()
 		}
 		a.base = baseRef{}
 		b.base = baseRef{}
 	}
-	neg := expr{kind: b.kind, c: -b.c}
+	neg := Addr{kind: b.kind, c: -b.c}
 	if len(b.terms) > 0 {
 		nt := make(map[ivRef]int64, len(b.terms))
 		for iv, k := range b.terms {
@@ -223,17 +262,17 @@ func sub(a, b expr) expr {
 }
 
 // mulConst returns the abstract product a · k.
-func mulConst(a expr, k int64) expr {
+func mulConst(a Addr, k int64) Addr {
 	if !a.known() {
-		return top()
+		return TopAddr()
 	}
 	if k == 0 {
-		return constant(0)
+		return ConstAddr(0)
 	}
 	if a.base.Kind != baseNone && k != 1 {
-		return top() // scaled pointer
+		return TopAddr() // scaled pointer
 	}
-	out := expr{kind: a.kind, base: a.base, c: a.c * k}
+	out := Addr{kind: a.kind, base: a.base, c: a.c * k}
 	if len(a.terms) > 0 {
 		t := make(map[ivRef]int64, len(a.terms))
 		for iv, c := range a.terms {
@@ -245,7 +284,7 @@ func mulConst(a expr, k int64) expr {
 }
 
 // String renders the value for diagnostics and tests.
-func (e expr) String() string {
+func (e Addr) String() string {
 	switch e.kind {
 	case exprBottom:
 		return "⊥"
@@ -258,6 +297,8 @@ func (e expr) String() string {
 		parts = append(parts, fmt.Sprintf("g%d", e.base.Global))
 	case baseAlloc:
 		parts = append(parts, fmt.Sprintf("alloc@%#x", e.base.AllocIP))
+	case baseUnknown:
+		parts = append(parts, "base?")
 	}
 	ivs := make([]ivRef, 0, len(e.terms))
 	for iv := range e.terms {
@@ -270,7 +311,11 @@ func (e expr) String() string {
 		return ivs[i].Header < ivs[j].Header
 	})
 	for _, iv := range ivs {
-		parts = append(parts, fmt.Sprintf("%d·κ(f%d,b%d)", e.terms[iv], iv.Fn, iv.Header))
+		if iv == tidSym {
+			parts = append(parts, fmt.Sprintf("%d·t", e.terms[iv]))
+		} else {
+			parts = append(parts, fmt.Sprintf("%d·κ(f%d,b%d)", e.terms[iv], iv.Fn, iv.Header))
+		}
 	}
 	if e.kind == exprLinU {
 		parts = append(parts, "U")

@@ -104,7 +104,7 @@ func (pl *planner) walk(b int, lid int) ([]PlanItem, error) {
 			return nil, fmt.Errorf("block %d escapes loop body", b)
 		}
 
-		st := append([]expr(nil), fa.in[b]...)
+		st := append([]Addr(nil), fa.in[b]...)
 		blk := fa.f.Blocks[b]
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
@@ -127,7 +127,7 @@ func (pl *planner) walk(b int, lid int) ([]PlanItem, error) {
 			case isa.Br:
 				return nil, fmt.Errorf("conditional branch at %#x outside a counted-loop header", in.IP)
 			}
-			fa.transfer(in, st)
+			transfer(in, st)
 			if in.Op == isa.Jmp {
 				break
 			}
@@ -175,14 +175,14 @@ func (pl *planner) planLoop(lid int) (*LoopPlan, error) {
 
 	// Header instructions run once per bound check (Trips+1 times); they
 	// may not touch memory or branch before the final Br.
-	st := append([]expr(nil), fa.in[l.Header]...)
+	st := append([]Addr(nil), fa.in[l.Header]...)
 	for i := range hb.Instrs[:len(hb.Instrs)-1] {
 		in := &hb.Instrs[i]
 		switch in.Op {
 		case isa.Load, isa.Store, isa.Call, isa.Ret, isa.Alloc, isa.Jmp, isa.Br, isa.Halt:
 			return nil, fmt.Errorf("loop header block %d contains %s", l.Header, in.Op)
 		}
-		fa.transfer(in, st)
+		transfer(in, st)
 	}
 
 	trips, err := tripCount(fa, lid, br, st)
@@ -204,14 +204,14 @@ func (pl *planner) planLoop(lid int) (*LoopPlan, error) {
 // tripCount derives the loop's iteration count from the converged header
 // state: the exit test `br.ge iv, bound` with iv = start + step·κ (step
 // > 0) and bound = stop runs the body ceil((stop−start)/step) times.
-func tripCount(fa *funcAnalysis, lid int, br *isa.Instr, st []expr) (int64, error) {
+func tripCount(fa *funcAnalysis, lid int, br *isa.Instr, st []Addr) (int64, error) {
 	l := fa.forest.Loops[lid]
 	if br.Cmp != isa.Ge {
 		return 0, fmt.Errorf("loop at block %d: unsupported exit predicate %s", l.Header, br.Cmp)
 	}
-	val := func(r isa.Reg) expr {
+	val := func(r isa.Reg) Addr {
 		if r == isa.RZ {
-			return constant(0)
+			return ConstAddr(0)
 		}
 		return st[r]
 	}
@@ -232,7 +232,7 @@ func tripCount(fa *funcAnalysis, lid int, br *isa.Instr, st []expr) (int64, erro
 }
 
 // accessTemplate resolves one Load/Store against the walker's loop path.
-func (pl *planner) accessTemplate(in *isa.Instr, st []expr) (*AccessTpl, error) {
+func (pl *planner) accessTemplate(in *isa.Instr, st []Addr) (*AccessTpl, error) {
 	ea := eaExpr(in, st)
 	if ea.kind != exprLin {
 		return nil, fmt.Errorf("access at %#x: address not statically resolved", in.IP)

@@ -23,7 +23,9 @@ type Options struct {
 	Scale workloads.Scale
 	// SamplePeriod for the profiled runs; 0 = the paper's 10,000.
 	SamplePeriod uint64
-	Seed         uint64
+	// Seed is the sampler seed of every profiled run, as
+	// structslim.Options.Seed is of structslim's.
+	Seed uint64
 	// Parallel bounds how many simulations the experiment engine runs
 	// concurrently; 0 or 1 runs sequentially. Results are byte-identical
 	// at any setting: every simulation is deterministically seeded and
@@ -58,7 +60,7 @@ func (o Options) runOptions() structslim.Options {
 	}
 	opt := structslim.Options{
 		SamplePeriod: period,
-		Seed:         o.Seed + 1,
+		Seed:         o.Seed,
 		Analysis:     core.Options{TopK: 3},
 	}
 	if o.Reference {

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workloads"
+	"repro/structslim"
 )
 
 func testOpt() Options {
@@ -345,5 +347,35 @@ func TestAccuracyExperiment(t *testing.T) {
 	WriteAccuracy(&buf, rows)
 	if !strings.Contains(buf.String(), "Equation 4") {
 		t.Error("accuracy rendering incomplete")
+	}
+}
+
+// TestSeedNamesOneSampleSet: the experiments engine profiles at the seed
+// it is given, so its report on a workload is the one structslim prints
+// for the same seed and options.
+func TestSeedNamesOneSampleSet(t *testing.T) {
+	w, err := workloads.Get("art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewEngine(Options{Scale: workloads.ScaleTest, SamplePeriod: 3000, Seed: 7}).RunBenchmark(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, phases, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := structslim.ProfileAndAnalyze(p, phases, structslim.Options{
+		SamplePeriod: 3000, Seed: 7, Analysis: core.Options{TopK: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	r.Report.RenderText(&got)
+	rep.RenderText(&want)
+	if got.String() != want.String() {
+		t.Errorf("engine report at seed 7 differs from structslim's:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }

@@ -179,12 +179,9 @@ func AnalyzeRegrouping(res *RunResult, p *prog.Program, opt Options, la *legalit
 	if res == nil || res.Profile == nil {
 		return nil, fmt.Errorf("nil run result")
 	}
-	ropt := regroup.Options{}
-	if opt.Analysis.AffinityThreshold != 0 {
-		ropt.AffinityThreshold = opt.Analysis.AffinityThreshold
-	}
-	if opt.Analysis.MinLd != 0 {
-		ropt.MinLd = opt.Analysis.MinLd
+	ropt := regroup.Options{
+		AffinityThreshold: opt.Analysis.AffinityThreshold,
+		MinLd:             opt.Analysis.MinLd,
 	}
 	if la != nil {
 		ropt.Frozen = legality.FrozenIdentities(la, res.Profile)
