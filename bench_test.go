@@ -845,26 +845,16 @@ func TestHotPathAllocationBudget(t *testing.T) {
 	var requests [][]byte
 	pushed := 0
 	for _, tp := range qres.ThreadProfiles {
-		var body []byte
-		framed := 0
-		for start := 0; start < len(tp.Samples); start += batchSamples {
-			end := min(start+batchSamples, len(tp.Samples))
-			batch := stream.Batch{
-				Session: fmt.Sprintf("t%d", tp.TID), TID: int32(tp.TID),
-				Period: tp.Period, Samples: tp.Samples[start:end],
+		bs := profile.Split(tp, fmt.Sprintf("t%d", tp.TID), "", batchSamples)
+		for len(bs) > 0 {
+			n := min(batchesPerRequest, len(bs))
+			var body []byte
+			for i := range bs[:n] {
+				body = profile.AppendBatch(body, &bs[i])
+				pushed += len(bs[i].Samples)
 			}
-			if start == 0 {
-				batch.Objects = tp.Objects
-			}
-			body = server.AppendBatchBinary(body, &batch)
-			pushed += end - start
-			if framed++; framed == batchesPerRequest {
-				requests = append(requests, body)
-				body, framed = nil, 0
-			}
-		}
-		if framed > 0 {
 			requests = append(requests, body)
+			bs = bs[n:]
 		}
 	}
 	qan, err := stream.New(qp, stream.Config{DropSamples: true})

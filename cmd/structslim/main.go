@@ -97,7 +97,7 @@ func runProfile(args []string, out io.Writer) error {
 		jsonPath = fs.String("json", "", "write the analysis as JSON to this file (- for stdout)")
 		optimize = fs.Bool("optimize", false, "apply the advice and measure the split program")
 		doRegr   = fs.Bool("regroup", false, "also run the array-regrouping analysis (future-work extension)")
-		profDir  = fs.String("profiles", "", "also write per-thread profiles (gob) into this directory")
+		profDir  = fs.String("profiles", "", "also write per-thread profiles into this directory, one file of binary frames per thread (profile.N.ssb)")
 		analyze  = fs.String("analyze", "", "skip profiling: load per-thread profiles from this directory and analyze them offline")
 		dump     = fs.Bool("dump", false, "print the workload's disassembly and recovered loop structure, then exit")
 		cfgDot   = fs.String("cfg-dot", "", "write the named function's CFG as dot to this file (with -dump)")
@@ -183,7 +183,7 @@ func runProfile(args []string, out io.Writer) error {
 	var res *structslim.RunResult
 	var rep *core.Report
 	if *analyze != "" {
-		// Offline path: the profiles were collected earlier (one gob
+		// Offline path: the profiles were collected earlier (one frame
 		// file per thread); merge them with the reduction tree and
 		// analyze against the rebuilt binary.
 		tps, err := profile.ReadDir(*analyze)
@@ -204,8 +204,15 @@ func runProfile(args []string, out io.Writer) error {
 	}
 
 	rep.RenderText(out)
-	fmt.Fprintf(out, "Run: %d instructions, %d memory accesses, %d app cycles, overhead %.2f%%\n",
-		res.Stats.Instrs, res.Stats.MemOps, res.Stats.AppWallCycles, res.Stats.OverheadPct())
+	if *analyze != "" {
+		// The files hold no instruction count, and their app cycles are
+		// each thread's own, not the run's wall clock.
+		fmt.Fprintf(out, "Profile: %d memory accesses, %d app cycles (max over threads), overhead %.2f%%\n",
+			res.Profile.MemOps, res.Profile.AppCycles, res.Profile.OverheadPct())
+	} else {
+		fmt.Fprintf(out, "Run: %d instructions, %d memory accesses, %d app cycles, overhead %.2f%%\n",
+			res.Stats.Instrs, res.Stats.MemOps, res.Stats.AppWallCycles, res.Stats.OverheadPct())
+	}
 	if res.Stat != nil {
 		fmt.Fprintln(out)
 		res.Stat.RenderText(out)

@@ -2,8 +2,19 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
+	"repro/internal/stream"
+	"repro/internal/workloads"
+	"repro/structslim"
 )
 
 // runLine profiles art with extra flags and returns the full output and
@@ -82,5 +93,82 @@ func TestOptimizeAppliesPrintedAdvice(t *testing.T) {
 	}
 	if want := "Patient{" + strings.Join(groups, " | ") + "}"; layout != want {
 		t.Errorf("applied layout %s, printed advice %s", layout, want)
+	}
+}
+
+// TestAnalyzeProfileFiles: -profiles d, then -analyze d, prints the
+// direct run's report bytes, followed by the merged profile's own
+// accounts where the direct run prints the machine's (the files hold no
+// instruction count). Every file in d, posted as it is, makes a server
+// report the same bytes.
+func TestAnalyzeProfileFiles(t *testing.T) {
+	dir := t.TempDir()
+	var direct, offline bytes.Buffer
+	if err := runProfile([]string{"-workload", "clomp", "-period", "3000", "-profiles", dir}, &direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := runProfile([]string{"-workload", "clomp", "-period", "3000", "-analyze", dir}, &offline); err != nil {
+		t.Fatal(err)
+	}
+	report, _, ok := strings.Cut(direct.String(), "Run: ")
+	if !ok {
+		t.Fatalf("direct run printed no Run: line:\n%s", direct.String())
+	}
+	w, err := workloads.Get("clomp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, phases, err := w.Build(nil, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := structslim.ProfileRun(p, phases, structslim.Options{SamplePeriod: 3000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("Analyzed %d thread profiles from %s (offline)\n\n%s"+
+		"Profile: %d memory accesses, %d app cycles (max over threads), overhead %.2f%%\n",
+		len(res.ThreadProfiles), dir, report, res.Profile.MemOps, res.Profile.AppCycles, res.Profile.OverheadPct())
+	if got := offline.String(); got != want {
+		t.Errorf("-analyze output:\n%s\nwant:\n%s", got, want)
+	}
+
+	an, err := stream.New(p, stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(an, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+	files, err := filepath.Glob(filepath.Join(dir, "profile.*.ssb"))
+	if err != nil || len(files) != len(res.ThreadProfiles) {
+		t.Fatalf("profile files %v (%v), want %d", files, err, len(res.ThreadProfiles))
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeBinary, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: %d", f, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != report {
+		t.Errorf("report of the posted profile files differs from the direct run's:\n%s", body)
 	}
 }

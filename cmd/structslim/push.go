@@ -16,7 +16,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/profile"
 	"repro/internal/server"
-	"repro/internal/stream"
 	"repro/internal/workloads"
 	"repro/structslim"
 )
@@ -30,9 +29,8 @@ import (
 //
 // The client is pipelined: sessions push concurrently over persistent
 // connections, and each request carries a window of -window consecutive
-// batches (one request per batch was the PR-5 protocol; windowing keeps
-// a session's batches ordered while cutting the round trips by the
-// window size). Encode buffers are pooled across requests.
+// batches as binary frames (windowing keeps a session's batches ordered
+// while cutting the round trips by the window size).
 //
 //	structslim push -workload art [-addr 127.0.0.1:7080] [-batch 256] [-window 8] [-selftest]
 func runPush(args []string, out io.Writer) error {
@@ -45,7 +43,6 @@ func runPush(args []string, out io.Writer) error {
 		seed       = fs.Uint64("seed", 1, "sampling randomization seed")
 		batchSize  = fs.Int("batch", 256, "samples per pushed batch")
 		window     = fs.Int("window", 8, "batches sent per request (in-flight batch window)")
-		codec      = fs.String("codec", "binary", "wire format: binary or ndjson")
 		maxRetries = fs.Int("max-retries", 10, "consecutive 429 retries per request before giving up")
 		wait       = fs.Duration("wait", 10*time.Second, "how long to retry connecting to the server")
 		selftest   = fs.Bool("selftest", false, "fetch the server's reports and diff them against the local batch analysis")
@@ -63,11 +60,6 @@ func runPush(args []string, out io.Writer) error {
 	if *window <= 0 {
 		return fmt.Errorf("push: -window must be positive")
 	}
-	ct, err := contentTypeFor(*codec)
-	if err != nil {
-		return err
-	}
-
 	w, err := workloads.Get(*name)
 	if err != nil {
 		return err
@@ -97,7 +89,7 @@ func runPush(args []string, out io.Writer) error {
 		MaxIdleConns:        len(res.ThreadProfiles) + 2,
 		MaxIdleConnsPerHost: len(res.ThreadProfiles) + 2,
 	}}
-	pusher := &pusher{client: client, base: base, ct: ct, maxRetries: *maxRetries}
+	pusher := &pusher{client: client, base: base, maxRetries: *maxRetries}
 
 	// Sessions are independent ordered streams, so they push in parallel;
 	// within a session, requests go out serially to preserve batch order.
@@ -163,73 +155,29 @@ func runPush(args []string, out io.Writer) error {
 	return nil
 }
 
-func contentTypeFor(codec string) (string, error) {
-	switch codec {
-	case "binary":
-		return server.ContentTypeBinary, nil
-	case "ndjson":
-		return server.ContentTypeNDJSON, nil
-	default:
-		return "", fmt.Errorf("push: unknown codec %q (want binary or ndjson)", codec)
-	}
-}
-
 // pusher holds the shared client state of one push run.
 type pusher struct {
 	client     *http.Client
 	base       string
-	ct         string
 	maxRetries int
 
-	bufs    sync.Pool // *bytes.Buffer, reused across requests
 	samples atomic.Int64
 	batches atomic.Int64
 }
 
-// pushSession replays one thread profile as an ordered batch stream:
-// object table on the first batch, cycle accounts on the last, windows of
-// up to `window` batches per request.
+// pushSession replays one thread profile as an ordered batch stream
+// (profile.Split): object table on the first batch, cycle accounts on
+// the last, windows of up to `window` batches per request.
 func (p *pusher) pushSession(session, process string, tp *profile.ThreadProfile, batchSize, window int) error {
-	var pending []stream.Batch
-	n := len(tp.Samples)
-	var seq uint64
-	for start := 0; start < n || start == 0; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
+	bs := profile.Split(tp, session, process, batchSize)
+	for len(bs) > 0 {
+		n := min(window, len(bs))
+		if err := p.postWindow(bs[:n]); err != nil {
+			return err
 		}
-		b := stream.Batch{
-			Session: session,
-			Process: process,
-			TID:     int32(tp.TID),
-			Period:  tp.Period,
-			Seq:     seq,
-			Samples: tp.Samples[start:end],
-		}
-		if start == 0 {
-			b.Objects = tp.Objects
-		}
-		if end == n {
-			b.AppCycles = tp.AppCycles
-			b.OverheadCycles = tp.OverheadCycles
-			b.MemOps = tp.MemOps
-		}
-		pending = append(pending, b)
-		p.samples.Add(int64(end - start))
-		seq++
-		if len(pending) == window {
-			if err := p.postWindow(pending); err != nil {
-				return err
-			}
-			pending = pending[:0]
-		}
-		if end == n {
-			break
-		}
+		bs = bs[n:]
 	}
-	if len(pending) > 0 {
-		return p.postWindow(pending)
-	}
+	p.samples.Add(int64(len(tp.Samples)))
 	return nil
 }
 
@@ -239,13 +187,7 @@ func (p *pusher) pushSession(session, process string, tp *profile.ThreadProfile,
 // max(Retry-After, capped exponential backoff), and resends the rest.
 // The retry counter resets whenever the server makes progress; after
 // maxRetries consecutive no-progress rejections the push fails.
-func (p *pusher) postWindow(batches []stream.Batch) error {
-	buf, _ := p.bufs.Get().(*bytes.Buffer)
-	if buf == nil {
-		buf = new(bytes.Buffer)
-	}
-	defer p.bufs.Put(buf)
-
+func (p *pusher) postWindow(batches []profile.Batch) error {
 	const (
 		baseBackoff = 100 * time.Millisecond
 		maxBackoff  = 10 * time.Second
@@ -253,11 +195,11 @@ func (p *pusher) postWindow(batches []stream.Batch) error {
 	retries := 0
 	backoff := baseBackoff
 	for {
-		buf.Reset()
-		if err := server.EncodeBatches(buf, p.ct, batches); err != nil {
+		body, err := profile.AppendBatches(nil, batches)
+		if err != nil {
 			return err
 		}
-		resp, err := p.client.Post(p.base+"/v1/samples", p.ct, bytes.NewReader(buf.Bytes()))
+		resp, err := p.client.Post(p.base+"/v1/samples", server.ContentTypeBinary, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}

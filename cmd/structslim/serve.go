@@ -20,8 +20,9 @@ import (
 )
 
 // runServe starts the streaming profile service: an HTTP server that
-// ingests sample batches (from `structslim push` or any client speaking
-// the binary or NDJSON wire format) and serves online analysis.
+// ingests sample batches as binary frames (from `structslim push`, or a
+// profile file that `structslim -profiles` wrote, posted as it is) and
+// serves online analysis.
 //
 //	structslim serve -workload art [-addr :7080] [-queue 64]
 //
@@ -38,7 +39,7 @@ func runServe(args []string, out io.Writer) error {
 		shards     = fs.Int("shards", 8, "session-partitioned analyzer shards (1 = unsharded; results are identical at any count)")
 		maxStreams = fs.Int("max-streams", 0, "bound live streams per session, LRU-evicting cold ones (0 = unbounded)")
 		maxIdents  = fs.Int("max-identities", 0, "bound tracked identities per session (0 = unbounded)")
-		dropSamp   = fs.Bool("drop-samples", false, "do not retain raw samples (disables /v1/snapshot; reports stay exact)")
+		dropSamp   = fs.Bool("drop-samples", false, "do not retain raw samples (disables the /v1/snapshot frames, ?source=snapshot reports and /v1/optimize; online reports stay exact)")
 		topK       = fs.Int("topk", 3, "data structures to analyze in depth")
 		thresh     = fs.Float64("affinity", 0.5, "affinity clustering threshold")
 		optPar     = fs.Int("optimize-parallel", runtime.GOMAXPROCS(0),

@@ -5,37 +5,61 @@ import (
 	"testing"
 )
 
-// FuzzReadThreadProfile: arbitrary bytes must never panic the profile
-// decoder — it either parses or errors.
-func FuzzReadThreadProfile(f *testing.F) {
-	// Seed with a valid profile and some mutations.
-	tp := NewThreadProfile(1, 5000)
-	tp.Add(Sample{TID: 1, IP: 0x400100, EA: 0x1000, Latency: 12}, 7)
-	var buf bytes.Buffer
-	if err := tp.Write(&buf); err != nil {
-		f.Fatal(err)
+// FuzzIngestDecode drives the frame decoder with arbitrary bytes: it
+// must never panic, the writer must take back every input the decoder
+// accepts and re-encode it byte for byte, so a relayed (proxied,
+// spooled) frame stream is bit-stable, and the accepted batches must
+// replay into a thread profile without panic.
+func FuzzIngestDecode(f *testing.F) {
+	seedBatches := []Batch{
+		{
+			Session: "s0", Process: "p0", TID: 1, Period: 10000, Seq: 3,
+			Objects: []ObjInfo{
+				{ID: 0, Heap: true, Name: "heap#0", Base: 0x1000, Size: 4096, Identity: 42, AllocIP: 0x400, TypeID: 2},
+			},
+			Samples: []Sample{
+				{TID: 1, IP: 0x404, EA: 0x1010, Latency: 33, Level: 2, Write: true, Cycle: 99, ObjID: 0, Ctx: 7},
+				{TID: 1, IP: 0x404, EA: 0x1028, Latency: 12, Cycle: 120, ObjID: -1},
+			},
+			AppCycles: 1000, OverheadCycles: 10, MemOps: 500,
+		},
+		{Session: "s1", Period: 1},
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
+	encode := func(bs []Batch) []byte {
+		data, err := AppendBatches(nil, bs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	f.Add(encode(seedBatches))
+	f.Add([]byte("SSB1truncated"))
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
-	if len(valid) > 10 {
-		f.Add(valid[:len(valid)/2])
-		trunc := append([]byte(nil), valid...)
-		trunc[8] ^= 0xff
-		f.Add(trunc)
-	}
+	// A thread profile's own file: the object table first, the cycle
+	// accounts last, samples in frames of two.
+	tps := buildThreadProfiles()
+	f.Add(encode(Split(tps[1], "t1", "", 2)))
+	// Two threads' files in one input: the frames disagree on TID.
+	f.Add(append(encode(Split(tps[0], "t0", "", 4)), encode(Split(tps[1], "t1", "", 4))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadThreadProfile(bytes.NewReader(data))
+		var dec Decoder
+		bs, err := dec.Decode(bytes.NewReader(data))
 		if err != nil {
-			return
+			return // rejected input: only no-panic is required
 		}
-		// A successfully decoded profile must be internally usable.
-		if got.Streams == nil {
-			t.Fatal("decoded profile with nil stream map")
+		enc, err := AppendBatches(nil, bs)
+		if err != nil {
+			t.Fatalf("writer refuses decoded batches: %v", err)
 		}
-		_, _ = MergeThreadProfiles([]*ThreadProfile{got})
+		if !bytes.Equal(enc, data) {
+			t.Fatal("re-encode of accepted input differs from it")
+		}
+		// Replay refuses no frames or frames that disagree on TID or
+		// period; it must not panic.
+		if tp, err := Replay(bs); err == nil && tp.NumSamples != uint64(len(tp.Samples)) {
+			t.Fatalf("replayed %d samples, counted %d", len(tp.Samples), tp.NumSamples)
+		}
 	})
 }
 

@@ -1,56 +1,20 @@
 package profile
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 )
 
-// The on-disk format is a gob stream of ThreadProfile, one file per
-// thread, mirroring the paper's profiler which "writes the analysis result
-// to a profile file per thread".
-
-// Write serializes one thread profile.
-func (tp *ThreadProfile) Write(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(tp)
-}
-
-// ReadThreadProfile deserializes one thread profile.
-func ReadThreadProfile(r io.Reader) (*ThreadProfile, error) {
-	tp := &ThreadProfile{}
-	if err := gob.NewDecoder(r).Decode(tp); err != nil {
-		return nil, fmt.Errorf("decoding thread profile: %w", err)
-	}
-	if tp.Streams == nil {
-		tp.Streams = make(map[StreamKey]*StreamStat)
-	}
-	return tp, nil
-}
-
-// WriteProfile serializes a merged whole-program profile. Merged
-// profiles are what the offline analyzer consumes, so persisting them
-// lets one profiled run feed many analysis sessions.
-func WriteProfile(w io.Writer, p *Profile) error {
-	return gob.NewEncoder(w).Encode(p)
-}
-
-// ReadProfile deserializes a merged whole-program profile.
-func ReadProfile(r io.Reader) (*Profile, error) {
-	p := &Profile{}
-	if err := gob.NewDecoder(r).Decode(p); err != nil {
-		return nil, fmt.Errorf("decoding profile: %w", err)
-	}
-	if p.Streams == nil {
-		p.Streams = make(map[StreamKey]*StreamStat)
-	}
-	return p, nil
-}
+// On disk a profile is one frame file per thread, mirroring the paper's
+// profiler, which "writes the analysis result to a profile file per
+// thread". A file holds the thread's samples and object table as the
+// batch stream of one session, so it is also a valid POST /v1/samples
+// body; its streams are rebuilt from the samples when it is read.
 
 // profileFileName names the per-thread profile file.
-func profileFileName(tid int) string { return fmt.Sprintf("profile.%d.gob", tid) }
+func profileFileName(tid int) string { return fmt.Sprintf("profile.%d.ssb", tid) }
 
 // WriteDir writes each thread profile into dir (created if needed).
 func WriteDir(dir string, tps []*ThreadProfile) error {
@@ -58,41 +22,33 @@ func WriteDir(dir string, tps []*ThreadProfile) error {
 		return err
 	}
 	for _, tp := range tps {
-		f, err := os.Create(filepath.Join(dir, profileFileName(tp.TID)))
+		data, err := AppendThread(nil, tp, fmt.Sprintf("t%d", tp.TID), "")
 		if err != nil {
-			return err
+			return fmt.Errorf("thread %d: %w", tp.TID, err)
 		}
-		if err := tp.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, profileFileName(tp.TID)), data, 0o644); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadDir loads every profile.*.gob in dir, in thread-id order: the
+// ReadDir loads every profile.*.ssb in dir, in thread-id order: the
 // merge keeps each stream's offset anchor from the first profile it
 // sees, so the order must be the one the profiler produced, not the
 // file names' (profile.10 sorts before profile.2).
 func ReadDir(dir string) ([]*ThreadProfile, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "profile.*.gob"))
+	matches, err := filepath.Glob(filepath.Join(dir, "profile.*.ssb"))
 	if err != nil {
 		return nil, err
 	}
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("no profiles found in %s", dir)
 	}
+	var dec Decoder
 	var tps []*ThreadProfile
 	for _, m := range matches {
-		f, err := os.Open(m)
-		if err != nil {
-			return nil, err
-		}
-		tp, err := ReadThreadProfile(f)
-		f.Close()
+		tp, err := readFile(&dec, m)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m, err)
 		}
@@ -100,4 +56,19 @@ func ReadDir(dir string) ([]*ThreadProfile, error) {
 	}
 	sort.Slice(tps, func(i, j int) bool { return tps[i].TID < tps[j].TID })
 	return tps, nil
+}
+
+// readFile decodes one profile file and replays its frames; Replay
+// copies what it keeps, so dec's buffers serve the next file.
+func readFile(dec *Decoder, path string) (*ThreadProfile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	bs, err := dec.Decode(f)
+	if err != nil {
+		return nil, err
+	}
+	return Replay(bs)
 }

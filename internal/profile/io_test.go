@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,50 +46,6 @@ func buildThreadProfiles() []*ThreadProfile {
 	return []*ThreadProfile{tp0, tp1}
 }
 
-// TestProfileGobRoundTrip: a merged whole-program profile — stream maps,
-// merged (deduplicated) object table, counters — survives gob
-// serialization exactly.
-func TestProfileGobRoundTrip(t *testing.T) {
-	p, err := MergeThreadProfiles(buildThreadProfiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Objects) != 3 {
-		t.Fatalf("merged object table has %d entries, want 3 (dedup)", len(p.Objects))
-	}
-
-	var buf bytes.Buffer
-	if err := WriteProfile(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got, p) {
-		t.Errorf("round-tripped profile differs:\n got %+v\nwant %+v", got, p)
-	}
-	// The parts analyses depend on, spelled out for a readable failure.
-	if !reflect.DeepEqual(got.Objects, p.Objects) {
-		t.Errorf("objects: got %+v, want %+v", got.Objects, p.Objects)
-	}
-	if len(got.Streams) != len(p.Streams) {
-		t.Fatalf("streams: got %d, want %d", len(got.Streams), len(p.Streams))
-	}
-	for key, st := range p.Streams {
-		if !reflect.DeepEqual(got.Streams[key], st) {
-			t.Errorf("stream %+v: got %+v, want %+v", key, got.Streams[key], st)
-		}
-	}
-	if got.ObjByID(3) == nil || got.ObjByID(3).Name != "arcs" {
-		t.Error("ObjByID lookup broken after round trip")
-	}
-	if got.OverheadPct() != p.OverheadPct() {
-		t.Errorf("overhead: got %v, want %v", got.OverheadPct(), p.OverheadPct())
-	}
-}
-
 // TestProfileRoundTripThroughThreadFiles: the per-thread write/read path
 // composed with the merge yields the same profile as merging in memory —
 // the full offline workflow (threads dump, analyzer loads and merges).
@@ -134,8 +89,8 @@ func TestProfileRoundTripThroughThreadFiles(t *testing.T) {
 }
 
 // TestReadDirThreadOrder: twelve thread profiles written and read back
-// come in thread-id order, not file-name order (profile.10.gob sorts
-// before profile.2.gob), so the merge — which anchors each stream's
+// come in thread-id order, not file-name order (profile.10.ssb sorts
+// before profile.2.ssb), so the merge — which anchors each stream's
 // offsets at the first profile it sees — equals the in-memory merge.
 func TestReadDirThreadOrder(t *testing.T) {
 	var tps []*ThreadProfile
@@ -194,7 +149,7 @@ func TestReadDirNoProfiles(t *testing.T) {
 	}
 }
 
-// TestReadDirTruncatedFile: a profile file cut short mid-gob-stream (a
+// TestReadDirTruncatedFile: a profile file cut short mid-frame (a
 // crashed profiled run) must fail decoding with an error that names the
 // bad file, and must not surface the intact profiles as a partial set.
 func TestReadDirTruncatedFile(t *testing.T) {
@@ -214,6 +169,48 @@ func TestReadDirTruncatedFile(t *testing.T) {
 		t.Error("ReadDir with a truncated profile succeeded")
 	} else if !strings.Contains(err.Error(), victim) {
 		t.Errorf("error %q does not name the truncated file", err)
+	}
+}
+
+// TestWriteDirRefusesLongName: an object name longer than the decoder
+// takes makes WriteDir fail with an error naming the object, instead of
+// writing a file ReadDir refuses.
+func TestWriteDirRefusesLongName(t *testing.T) {
+	tps := buildThreadProfiles()
+	tps[1].Objects = append(tps[1].Objects, ObjInfo{ID: 9, Name: strings.Repeat("g", 5000), Base: 0xa00000, Size: 64, Identity: 99})
+	err := WriteDir(t.TempDir(), tps)
+	if err == nil || !strings.Contains(err.Error(), "object 9") || !strings.Contains(err.Error(), "5000 bytes") {
+		t.Errorf("WriteDir with a 5000-byte name: got %v, want an error naming object 9 and its 5000 bytes", err)
+	}
+}
+
+// TestReadDirMismatchedFrames: a file whose frames disagree on the TID or
+// the period is refused, with an error naming the file.
+func TestReadDirMismatchedFrames(t *testing.T) {
+	tps := buildThreadProfiles()
+	for _, tc := range []struct {
+		name   string
+		mutate func(b *Batch)
+	}{
+		{"tid", func(b *Batch) { b.TID = 7 }},
+		{"period", func(b *Batch) { b.Period = 20_000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bs := Split(tps[0], "t0", "", 2)
+			tc.mutate(&bs[len(bs)-1])
+			data, err := AppendBatches(nil, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, profileFileName(0))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadDir(dir); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("ReadDir: got %v, want an error naming %s and the %s", err, path, tc.name)
+			}
+		})
 	}
 }
 

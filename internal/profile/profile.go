@@ -1,8 +1,9 @@
 // Package profile defines the data the online profiler collects and the
 // offline analyzer consumes: address samples, per-stream online statistics
-// (including the running GCD of address deltas), per-thread profiles, gob
-// serialization, and the parallel reduction-tree merge the paper uses to
-// combine per-thread profiles.
+// (including the running GCD of address deltas), per-thread profiles, the
+// binary frames that carry samples on disk and on the wire, and the
+// parallel reduction-tree merge the paper uses to combine per-thread
+// profiles.
 package profile
 
 import (
@@ -123,8 +124,8 @@ type ThreadProfile struct {
 
 	// lastKey/lastStat cache the most recently updated stream: samples of
 	// a hot loop land on the same stream repeatedly, so the common case
-	// skips the StreamKey map lookup. Unexported, so gob round-trips are
-	// unaffected.
+	// skips the StreamKey map lookup. Replay rebuilds them, since it adds
+	// the same samples in the same order.
 	lastKey  StreamKey
 	lastStat *StreamStat
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/stride"
@@ -200,33 +201,40 @@ func TestReduceEmpty(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	tp := mkThreadProfile(3, []Sample{
-		{TID: 3, IP: 0x400010, EA: 0x5000, Latency: 42, Level: 2, Write: true, Cycle: 99, ObjID: 4},
-	}, []uint64{11})
+// TestFrameRoundTrip: a thread profile split into frames, encoded,
+// decoded and replayed is deep-equal to the original, streams included,
+// at a batch size that puts the object table and the cycle accounts on
+// different frames and at one that needs a single frame.
+func TestFrameRoundTrip(t *testing.T) {
+	tp := NewThreadProfile(3, 10000)
 	tp.Objects = []ObjInfo{{ID: 4, Heap: true, Name: "heap@0x400100", Base: 0x5000, Size: 64, Identity: 11, AllocIP: 0x400100, TypeID: 2}}
-	tp.AppCycles = 12345
+	for k := 0; k < 5; k++ {
+		tp.Add(Sample{TID: 3, IP: 0x400010, EA: uint64(0x5000 + 16*k), Latency: 42, Level: 2, Write: k%2 == 0, Cycle: uint64(99 + k), ObjID: 4}, 11)
+	}
+	tp.Add(Sample{TID: 3, IP: 0x400020, EA: 0x7000, Latency: 5, ObjID: -1}, 0)
+	tp.AppCycles, tp.OverheadCycles, tp.MemOps = 12345, 67, 890
 
-	var buf bytes.Buffer
-	if err := tp.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadThreadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TID != 3 || got.NumSamples != 1 || got.AppCycles != 12345 {
-		t.Errorf("round trip header: %+v", got)
-	}
-	if len(got.Samples) != 1 || got.Samples[0] != tp.Samples[0] {
-		t.Errorf("round trip samples: %+v", got.Samples)
-	}
-	st := got.Streams[StreamKey{IP: 0x400010, Identity: 11}]
-	if st == nil || st.Count != 1 || st.Writes != 1 {
-		t.Errorf("round trip stream: %+v", st)
-	}
-	if len(got.Objects) != 1 || got.Objects[0] != tp.Objects[0] {
-		t.Errorf("round trip objects: %+v", got.Objects)
+	for _, batchSize := range []int{2, 100} {
+		bs := Split(tp, "t3", "p", batchSize)
+		if want := (len(tp.Samples) + batchSize - 1) / batchSize; len(bs) != want {
+			t.Fatalf("batch size %d: %d batches, want %d", batchSize, len(bs), want)
+		}
+		data, err := AppendBatches(nil, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec Decoder
+		decoded, err := dec.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Replay(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tp) {
+			t.Errorf("batch size %d: replayed profile differs:\n got %+v\nwant %+v", batchSize, got, tp)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package server_test
 
-// Error-path coverage for the ingest codecs, centered on the binary
-// framing: every malformed request must be rejected with a 4xx — never a
-// panic, never a partial ingest (a request is decoded and validated in
-// full before any batch reaches a session queue).
+// Error-path coverage for the ingest decode path, the binary frames:
+// every malformed request must be rejected with a 4xx — never a panic,
+// never a partial ingest (a request is decoded and validated in full
+// before any batch reaches a session queue).
 
 import (
 	"bytes"
@@ -20,8 +20,8 @@ import (
 	"repro/internal/stream"
 )
 
-func testBatches() []stream.Batch {
-	return []stream.Batch{
+func testBatches() []profile.Batch {
+	return []profile.Batch{
 		{
 			Session: "s0", Process: "p0", TID: 1, Period: 10000, Seq: 3,
 			Objects: []profile.ObjInfo{
@@ -38,66 +38,60 @@ func testBatches() []stream.Batch {
 	}
 }
 
-// TestBinaryRoundTrip pins the canonical-codec contract: encode → decode
-// reproduces the batches exactly, and re-encoding is byte-identical.
-func TestBinaryRoundTrip(t *testing.T) {
-	want := testBatches()
-	var buf bytes.Buffer
-	if err := server.EncodeBatches(&buf, server.ContentTypeBinary, want); err != nil {
+// encode frames batches in the binary format.
+func encode(t *testing.T, bs ...profile.Batch) []byte {
+	t.Helper()
+	data, err := profile.AppendBatches(nil, bs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := append([]byte(nil), buf.Bytes()...)
-	got, err := server.DecodeBatches(bytes.NewReader(first), server.ContentTypeBinary)
+	return data
+}
+
+// decode runs the server's decode path over payload and releases the
+// arena once the batches are copied out.
+func decode(payload []byte) ([]profile.Batch, error) {
+	bs, arena, err := server.DecodeBatchesArena(bytes.NewReader(payload), server.ContentTypeBinary)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]profile.Batch, len(bs))
+	for i, b := range bs {
+		b.Samples = append([]profile.Sample(nil), b.Samples...)
+		out[i] = b
+		arena.Release()
+	}
+	return out, nil
+}
+
+// TestBinaryRoundTrip pins the canonical-codec contract on the server's
+// entry points: AppendBatchBinary → DecodeBatchesArena reproduces the
+// batches exactly, and re-encoding is byte-identical.
+func TestBinaryRoundTrip(t *testing.T) {
+	want := testBatches()
+	var first []byte
+	for i := range want {
+		first = server.AppendBatchBinary(first, &want[i])
+	}
+	got, err := decode(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("binary round trip mutated batches:\ngot  %+v\nwant %+v", got, want)
 	}
-	var again bytes.Buffer
-	if err := server.EncodeBatches(&again, server.ContentTypeBinary, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, again.Bytes()) {
+	if again := encode(t, got...); !bytes.Equal(first, again) {
 		t.Error("binary re-encode not byte-identical")
 	}
 }
 
-// TestBinaryMatchesNDJSONSemantics cross-checks the two codecs: the same
-// batches pushed through NDJSON and through the binary framing must
-// decode to identical values.
-func TestBinaryMatchesNDJSONSemantics(t *testing.T) {
-	in := testBatches()
-	var jsonBuf, binBuf bytes.Buffer
-	if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.EncodeBatches(&binBuf, server.ContentTypeBinary, in); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := server.DecodeBatches(&jsonBuf, server.ContentTypeNDJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := server.DecodeBatches(&binBuf, server.ContentTypeBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromJSON, fromBin) {
-		t.Errorf("NDJSON and binary decode to different values:\nndjson %+v\nbinary %+v", fromJSON, fromBin)
-	}
-}
-
 // TestArenaDecode exercises the pooled decode path directly: the decoded
-// batches must equal the plain decode, and Release must be safe to call
-// once per batch.
+// batches must equal the input, and Release must be safe to call once
+// per batch. Any content type but the binary one is refused without an
+// arena.
 func TestArenaDecode(t *testing.T) {
 	want := testBatches()
-	var buf bytes.Buffer
-	if err := server.EncodeBatches(&buf, server.ContentTypeBinary, want); err != nil {
-		t.Fatal(err)
-	}
-	payload := buf.Bytes()
+	payload := encode(t, want...)
 	// Two rounds so the second decode reuses a recycled arena.
 	for round := 0; round < 2; round++ {
 		got, arena, err := server.DecodeBatchesArena(bytes.NewReader(payload), server.ContentTypeBinary)
@@ -114,39 +108,17 @@ func TestArenaDecode(t *testing.T) {
 			arena.Release()
 		}
 	}
-	// NDJSON takes the plain path: nil arena, Release is a no-op.
-	var jsonBuf bytes.Buffer
-	if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, want); err != nil {
-		t.Fatal(err)
+	got, arena, err := server.DecodeBatchesArena(bytes.NewReader(payload), "application/x-ndjson")
+	if err == nil || got != nil || arena != nil {
+		t.Errorf("NDJSON content type: got %d batches, arena %v, error %v; want a refusal", len(got), arena, err)
 	}
-	got, arena, err := server.DecodeBatchesArena(&jsonBuf, server.ContentTypeNDJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arena != nil {
-		t.Error("NDJSON decode returned an arena")
-	}
-	arena.Release()
-	if !reflect.DeepEqual(got, want) {
-		t.Error("NDJSON arena-path decode differs from input")
-	}
-}
-
-// encodeOne frames a single batch in the binary format.
-func encodeOne(t *testing.T, b stream.Batch) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := server.EncodeBatches(&buf, server.ContentTypeBinary, []stream.Batch{b}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestBinaryDecodeErrors drives the decoder through each malformed-frame
 // class; every one must produce a descriptive error, never a panic or an
 // oversized allocation.
 func TestBinaryDecodeErrors(t *testing.T) {
-	valid := encodeOne(t, testBatches()[0])
+	valid := encode(t, testBatches()[0])
 	le := binary.LittleEndian
 
 	corrupt := func(mutate func(b []byte) []byte) []byte {
@@ -195,7 +167,7 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := server.DecodeBatches(bytes.NewReader(tc.payload), server.ContentTypeBinary)
+			_, err := decode(tc.payload)
 			if err == nil {
 				t.Fatal("malformed frame accepted")
 			}
@@ -219,8 +191,8 @@ func TestServerRejectsMalformedBinary(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain()
 
-	valid := encodeOne(t, testBatches()[0])
-	noSession := encodeOne(t, stream.Batch{Period: 100, Seq: 1})
+	valid := encode(t, testBatches()[0])
+	noSession := encode(t, profile.Batch{Period: 100, Seq: 1})
 	cases := []struct {
 		name    string
 		payload []byte
@@ -258,7 +230,7 @@ func TestServerRejectsMalformedBinary(t *testing.T) {
 	// Positive control: an empty batch with a session is the push
 	// protocol's empty-stream case and must be accepted.
 	resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeBinary,
-		bytes.NewReader(encodeOne(t, stream.Batch{Session: "empty", Period: 100})))
+		bytes.NewReader(encode(t, profile.Batch{Session: "empty", Period: 100})))
 	if err != nil {
 		t.Fatal(err)
 	}

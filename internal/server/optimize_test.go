@@ -70,7 +70,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := postBatches(t, ts, server.ContentTypeBinary, batchesOf(res, 64))
+	resp := postBatches(t, ts, batchesOf(res, 64))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("push: %s", resp.Status)

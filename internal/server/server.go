@@ -2,7 +2,8 @@
 // HTTP: concurrent clients POST sample batches, the server ingests them
 // through bounded per-session queues (with 429 backpressure when a
 // client outruns the analyzer), and readers pull advice, live stride
-// state, full reports, or a materialized profile snapshot at any time.
+// state, full reports, or a snapshot of every session's retained samples
+// as binary frames at any time.
 // Prometheus-text metrics report ingest throughput, queue depths,
 // per-session lag, and eviction counts.
 package server
@@ -76,12 +77,11 @@ type Server struct {
 	ingestErrors atomic.Uint64
 }
 
-// queued is one enqueued batch plus the release hook that returns its
-// arena-backed sample storage to the decode pool after ingest (nil for
-// NDJSON, which is not pooled).
+// queued is one enqueued batch plus the arena its samples live in, which
+// the worker releases after ingest.
 type queued struct {
-	b    stream.Batch
-	done func()
+	b     profile.Batch
+	arena *Arena
 }
 
 type sessionQueue struct {
@@ -114,8 +114,8 @@ func (s *Server) Handler() http.Handler {
 
 // enqueue routes one batch to its session queue, spawning the session's
 // worker on first sight. Returns false when the queue is full; the
-// caller keeps ownership of done unless the batch was accepted.
-func (s *Server) enqueue(b stream.Batch, done func()) (bool, error) {
+// caller keeps the batch's arena reference unless the batch was accepted.
+func (s *Server) enqueue(b profile.Batch, arena *Arena) (bool, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -129,7 +129,7 @@ func (s *Server) enqueue(b stream.Batch, done func()) (bool, error) {
 		go s.worker(q)
 	}
 	select {
-	case q.ch <- queued{b: b, done: done}:
+	case q.ch <- queued{b: b, arena: arena}:
 		s.pending++
 		s.mu.Unlock()
 		return true, nil
@@ -151,9 +151,7 @@ func (s *Server) worker(q *sessionQueue) {
 		if err := s.an.Ingest(e.b); err != nil {
 			s.ingestErrors.Add(1)
 		}
-		if e.done != nil {
-			e.done()
-		}
+		e.arena.Release()
 		s.mu.Lock()
 		s.pending--
 		s.cond.Broadcast()
@@ -204,36 +202,32 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Validate everything before enqueueing anything: a malformed batch
-	// must never leave a prefix of its request ingested.
-	for i := range batches {
-		if batches[i].Session == "" || batches[i].Period == 0 {
-			s.releaseFrom(arena, batches, 0)
-			http.Error(w, "batch without session or period", http.StatusBadRequest)
-			return
-		}
-	}
 	if len(batches) == 0 {
 		http.Error(w, "empty request: no batches", http.StatusBadRequest)
 		return
 	}
-	var done func()
-	if arena != nil {
-		done = arena.Release
+	// Validate everything before enqueueing anything: a malformed batch
+	// must never leave a prefix of its request ingested.
+	for i := range batches {
+		if batches[i].Session == "" || batches[i].Period == 0 {
+			releaseFrom(arena, batches, 0)
+			http.Error(w, "batch without session or period", http.StatusBadRequest)
+			return
+		}
 	}
 	accepted := 0
 	for i := range batches {
 		b := batches[i]
-		ok, err := s.enqueue(b, done)
+		ok, err := s.enqueue(b, arena)
 		if err != nil {
-			s.releaseFrom(arena, batches, i)
+			releaseFrom(arena, batches, i)
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		if !ok {
 			// Backpressure: report how much of the request was taken so
 			// the client can resend the rest after Retry-After.
-			s.releaseFrom(arena, batches, i)
+			releaseFrom(arena, batches, i)
 			s.rejected.Add(1)
 			w.Header().Set("Retry-After", retryAfter)
 			w.Header().Set("X-Accepted-Batches", fmt.Sprint(accepted))
@@ -249,10 +243,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 
 // releaseFrom drops the arena references of batches[from:] — the ones the
 // handler still owns because they were never handed to a worker.
-func (s *Server) releaseFrom(arena *Arena, batches []stream.Batch, from int) {
-	if arena == nil {
-		return
-	}
+func releaseFrom(arena *Arena, batches []profile.Batch, from int) {
 	for range batches[from:] {
 		arena.Release()
 	}
@@ -341,21 +332,26 @@ func (s *Server) handleOptimize(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, res.JSON())
 }
 
-// ContentTypeProfile labels the GET /v1/snapshot body: the merged
-// profile in profile.WriteProfile's encoding, not an ingest batch.
-const ContentTypeProfile = "application/x-structslim-profile"
-
+// handleSnapshot returns each session's retained samples as frames, the
+// session's batch stream as a profile file holds it, in canonical
+// session order: another server, or this one, can ingest the body as it
+// is.
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	s.Flush()
-	p, err := s.an.Snapshot()
+	sps, err := s.an.SessionProfiles()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	w.Header().Set("Content-Type", ContentTypeProfile)
-	if err := profile.WriteProfile(w, p); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	var body []byte
+	for _, sp := range sps {
+		if body, err = profile.AppendThread(body, sp.Profile, sp.ID, sp.Process); err != nil {
+			http.Error(w, fmt.Sprintf("session %s: %v", sp.ID, err), http.StatusInternalServerError)
+			return
+		}
 	}
+	w.Header().Set("Content-Type", ContentTypeBinary)
+	w.Write(body)
 }
 
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {

@@ -26,49 +26,26 @@ import (
 var testOpt = structslim.Options{SamplePeriod: 3000, Seed: 7}
 
 // batchesOf splits a run into per-thread session batches.
-func batchesOf(res *structslim.RunResult, batchSize int) []stream.Batch {
-	var out []stream.Batch
+func batchesOf(res *structslim.RunResult, batchSize int) []profile.Batch {
+	var out []profile.Batch
 	for _, tp := range res.ThreadProfiles {
-		n := len(tp.Samples)
-		var seq uint64
-		for start := 0; start < n || start == 0; start += batchSize {
-			end := start + batchSize
-			if end > n {
-				end = n
-			}
-			b := stream.Batch{
-				Session: fmt.Sprintf("push-t%03d", tp.TID),
-				Process: "p0",
-				TID:     int32(tp.TID),
-				Period:  tp.Period,
-				Seq:     seq,
-				Samples: tp.Samples[start:end],
-			}
-			if start == 0 {
-				b.Objects = tp.Objects
-			}
-			if end == n {
-				b.AppCycles = tp.AppCycles
-				b.OverheadCycles = tp.OverheadCycles
-				b.MemOps = tp.MemOps
-			}
-			out = append(out, b)
-			seq++
-			if end == n {
-				break
-			}
-		}
+		out = append(out, profile.Split(tp, fmt.Sprintf("push-t%03d", tp.TID), "p0", batchSize)...)
 	}
 	return out
 }
 
-func postBatches(t *testing.T, ts *httptest.Server, ct string, bs []stream.Batch) *http.Response {
+func postBatches(t *testing.T, ts *httptest.Server, bs []profile.Batch) *http.Response {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := server.EncodeBatches(&buf, ct, bs); err != nil {
+	body, err := profile.AppendBatches(nil, bs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/samples", ct, &buf)
+	return postBody(t, ts, body)
+}
+
+func postBody(t *testing.T, ts *httptest.Server, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeBinary, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,124 +66,159 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestEndToEnd pushes a profiled workload over HTTP in both wire formats
-// and checks the server's report, snapshot, advice, live view, and
-// metrics against the local batch pipeline.
+// TestEndToEnd pushes a profiled workload over HTTP as binary frames and
+// checks the server's report, snapshot, advice, live view, and metrics
+// against the local batch pipeline.
 func TestEndToEnd(t *testing.T) {
-	for _, ct := range []string{server.ContentTypeBinary, server.ContentTypeNDJSON} {
-		t.Run(ct, func(t *testing.T) {
-			w, err := workloads.Get("art")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, phases, err := w.Build(nil, workloads.ScaleTest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := structslim.ProfileRun(p, phases, testOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchRep, err := core.Analyze(res.Profile, p, testOpt.Analysis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want bytes.Buffer
-			batchRep.RenderText(&want)
+	t.Run(server.ContentTypeBinary, func(t *testing.T) {
+		w, err := workloads.Get("art")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, phases, err := w.Build(nil, workloads.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := structslim.ProfileRun(p, phases, testOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchRep, err := core.Analyze(res.Profile, p, testOpt.Analysis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		batchRep.RenderText(&want)
 
-			an, err := stream.New(p, stream.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := server.New(an, server.Config{})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			defer srv.Drain()
+		an, err := stream.New(p, stream.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(an, server.Config{})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		defer srv.Drain()
 
-			resp := postBatches(t, ts, ct, batchesOf(res, 128))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("POST /v1/samples: %d", resp.StatusCode)
-			}
+		resp := postBatches(t, ts, batchesOf(res, 128))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /v1/samples: %d", resp.StatusCode)
+		}
 
-			// Online report and snapshot-derived report both match batch.
-			for _, path := range []string{"/v1/report", "/v1/report?source=snapshot"} {
-				code, body := get(t, ts, path)
-				if code != http.StatusOK {
-					t.Fatalf("GET %s: %d: %s", path, code, body)
-				}
-				if !bytes.Equal(body, want.Bytes()) {
-					t.Errorf("GET %s differs from batch report", path)
-				}
-			}
-
-			// Snapshot round-trips to the batch merged profile.
-			resp, err = http.Get(ts.URL + "/v1/snapshot")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET /v1/snapshot: %d", resp.StatusCode)
-			}
-			if got := resp.Header.Get("Content-Type"); got != server.ContentTypeProfile {
-				t.Errorf("GET /v1/snapshot Content-Type %q, want %q", got, server.ContentTypeProfile)
-			}
-			snap, err := profile.ReadProfile(bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(snap, res.Profile) {
-				t.Error("snapshot over HTTP differs from batch merged profile")
-			}
-
-			// Advice for the hot structure resolves by type name.
-			if len(batchRep.Structures) == 0 {
-				t.Fatal("batch report has no structures")
-			}
-			hot := batchRep.Structures[0]
-			name := hot.TypeName
-			if name == "" {
-				name = hot.Name
-			}
-			code, body := get(t, ts, "/v1/advice/"+name)
+		// Online report and snapshot-derived report both match batch.
+		for _, path := range []string{"/v1/report", "/v1/report?source=snapshot"} {
+			code, body := get(t, ts, path)
 			if code != http.StatusOK {
-				t.Fatalf("GET /v1/advice/%s: %d: %s", name, code, body)
+				t.Fatalf("GET %s: %d: %s", path, code, body)
 			}
-			if !bytes.Contains(body, []byte(fmt.Sprintf("\"identity\": %d", hot.Identity))) {
-				t.Errorf("advice response missing identity: %s", body)
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Errorf("GET %s differs from batch report", path)
 			}
-			code, _ = get(t, ts, "/v1/advice/nonexistent")
-			if code != http.StatusNotFound {
-				t.Errorf("GET /v1/advice/nonexistent: %d, want 404", code)
-			}
+		}
 
-			// Live view and metrics respond.
-			code, body = get(t, ts, "/v1/live?top=3")
-			if code != http.StatusOK || !bytes.Contains(body, []byte("Structures")) {
-				t.Errorf("GET /v1/live: %d: %.80s", code, body)
+		// The snapshot is every session's retained samples as frames.
+		// Replayed per session and merged, they are the batch merged
+		// profile; posted to a fresh server, they report the same
+		// bytes.
+		resp, err = http.Get(ts.URL + "/v1/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/snapshot: %d", resp.StatusCode)
+		}
+		if got := resp.Header.Get("Content-Type"); got != server.ContentTypeBinary {
+			t.Errorf("GET /v1/snapshot Content-Type %q, want %q", got, server.ContentTypeBinary)
+		}
+		var dec profile.Decoder
+		frames, err := dec.Decode(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tps []*profile.ThreadProfile
+		for len(frames) > 0 {
+			n := 1
+			for n < len(frames) && frames[n].Session == frames[0].Session {
+				n++
 			}
-			code, body = get(t, ts, "/metrics")
-			if code != http.StatusOK {
-				t.Fatalf("GET /metrics: %d", code)
+			tp, err := profile.Replay(frames[:n])
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, metric := range []string{
-				"structslim_samples_total",
-				"structslim_batches_total",
-				"structslim_queue_depth{session=\"push-t000\"}",
-				"structslim_session_lag_cycles",
-				"structslim_samples_per_second",
-			} {
-				if !bytes.Contains(body, []byte(metric)) {
-					t.Errorf("metrics missing %s", metric)
-				}
+			tps = append(tps, tp)
+			frames = frames[n:]
+		}
+		snap, err := profile.ReduceThreadProfiles(tps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snap, res.Profile) {
+			t.Error("snapshot over HTTP differs from batch merged profile")
+		}
+		an2, err := stream.New(p, stream.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv2 := server.New(an2, server.Config{})
+		ts2 := httptest.NewServer(srv2.Handler())
+		defer ts2.Close()
+		defer srv2.Drain()
+		resp = postBody(t, ts2, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST the snapshot to a fresh server: %d", resp.StatusCode)
+		}
+		if code, rep := get(t, ts2, "/v1/report"); code != http.StatusOK || !bytes.Equal(rep, want.Bytes()) {
+			t.Errorf("report of the posted snapshot (%d) differs from batch report", code)
+		}
+
+		// Advice for the hot structure resolves by type name.
+		if len(batchRep.Structures) == 0 {
+			t.Fatal("batch report has no structures")
+		}
+		hot := batchRep.Structures[0]
+		name := hot.TypeName
+		if name == "" {
+			name = hot.Name
+		}
+		code, body := get(t, ts, "/v1/advice/"+name)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/advice/%s: %d: %s", name, code, body)
+		}
+		if !bytes.Contains(body, []byte(fmt.Sprintf("\"identity\": %d", hot.Identity))) {
+			t.Errorf("advice response missing identity: %s", body)
+		}
+		code, _ = get(t, ts, "/v1/advice/nonexistent")
+		if code != http.StatusNotFound {
+			t.Errorf("GET /v1/advice/nonexistent: %d, want 404", code)
+		}
+
+		// Live view and metrics respond.
+		code, body = get(t, ts, "/v1/live?top=3")
+		if code != http.StatusOK || !bytes.Contains(body, []byte("Structures")) {
+			t.Errorf("GET /v1/live: %d: %.80s", code, body)
+		}
+		code, body = get(t, ts, "/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("GET /metrics: %d", code)
+		}
+		for _, metric := range []string{
+			"structslim_samples_total",
+			"structslim_batches_total",
+			"structslim_queue_depth{session=\"push-t000\"}",
+			"structslim_session_lag_cycles",
+			"structslim_samples_per_second",
+		} {
+			if !bytes.Contains(body, []byte(metric)) {
+				t.Errorf("metrics missing %s", metric)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBackpressure fills a depth-1 queue against a blocked ingest worker
@@ -226,8 +238,8 @@ func TestBackpressure(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	mk := func(seq uint64) stream.Batch {
-		return stream.Batch{
+	mk := func(seq uint64) profile.Batch {
+		return profile.Batch{
 			Session: "s", Period: 1000, Seq: seq,
 			Objects: []profile.ObjInfo{{ID: 0, Name: "o", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1}},
 			Samples: []profile.Sample{{IP: 0x400, EA: 0x1000 + 8*seq, Latency: 10, ObjID: 0}},
@@ -237,7 +249,7 @@ func TestBackpressure(t *testing.T) {
 	// eventually a POST must bounce with 429.
 	var rejected *http.Response
 	for seq := uint64(0); seq < 8; seq++ {
-		resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(seq)})
+		resp := postBatches(t, ts, []profile.Batch{mk(seq)})
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusTooManyRequests {
@@ -260,7 +272,7 @@ func TestBackpressure(t *testing.T) {
 	// the full queue and rightly get another 429.
 	once.Do(func() { close(release) })
 	srv.Flush()
-	resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(99)})
+	resp := postBatches(t, ts, []profile.Batch{mk(99)})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
@@ -302,16 +314,12 @@ func TestNonPositiveQueueDepth(t *testing.T) {
 	}
 
 	for seq := uint64(0); seq < 2; seq++ {
-		var buf bytes.Buffer
-		b := stream.Batch{
+		b := profile.Batch{
 			Session: "s", Period: 1000, Seq: seq,
 			Objects: []profile.ObjInfo{{ID: 0, Name: "o", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1}},
 			Samples: []profile.Sample{{IP: 0x400, EA: 0x1000 + 8*seq, Latency: 10, ObjID: 0}},
 		}
-		if err := server.EncodeBatches(&buf, server.ContentTypeBinary, []stream.Batch{b}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := client.Post(ts.URL+"/v1/samples", server.ContentTypeBinary, &buf)
+		resp, err := client.Post(ts.URL+"/v1/samples", server.ContentTypeBinary, bytes.NewReader(profile.AppendBatch(nil, &b)))
 		expect(fmt.Sprintf("POST %d", seq), http.StatusAccepted, resp, err)
 	}
 	resp, err := client.Post(ts.URL+"/v1/flush", "", nil)
@@ -352,7 +360,7 @@ func TestSessionCellsMetric(t *testing.T) {
 	defer srv.Drain()
 
 	bs := batchesOf(res, 64)
-	resp := postBatches(t, ts, server.ContentTypeBinary, bs)
+	resp := postBatches(t, ts, bs)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/samples: %d", resp.StatusCode)
@@ -419,7 +427,7 @@ func TestDrain(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	bs := []stream.Batch{{
+	bs := []profile.Batch{{
 		Session: "s", Period: 1000,
 		Objects: []profile.ObjInfo{{ID: 0, Name: "o", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1}},
 		Samples: []profile.Sample{
@@ -427,7 +435,7 @@ func TestDrain(t *testing.T) {
 			{IP: 0x400, EA: 0x1018, Latency: 10, ObjID: 0},
 		},
 	}}
-	resp := postBatches(t, ts, server.ContentTypeNDJSON, bs)
+	resp := postBatches(t, ts, bs)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
@@ -441,7 +449,7 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("after drain: %+v", infos)
 	}
 	// New ingest is refused with 503.
-	resp = postBatches(t, ts, server.ContentTypeNDJSON, bs)
+	resp = postBatches(t, ts, bs)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -462,10 +470,10 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain()
 
-	// The retired gob codec is refused like any unknown type, and the
-	// refusal names the two codecs the server speaks.
+	// The retired gob and NDJSON codecs are refused like any unknown
+	// type, and the refusal names the one the server speaks.
 	var gobBody bytes.Buffer
-	if err := gob.NewEncoder(&gobBody).Encode([]stream.Batch{{Session: "s", Period: 1}}); err != nil {
+	if err := gob.NewEncoder(&gobBody).Encode([]profile.Batch{{Session: "s", Period: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -474,6 +482,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"text/csv", []byte("x")},
 		{"application/x-structslim-gob", gobBody.Bytes()},
+		{"application/x-ndjson", []byte(`{"Session":"s","Period":1}` + "\n")},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/samples", tc.ct, bytes.NewReader(tc.body))
 		if err != nil {
@@ -484,18 +493,12 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", tc.ct, resp.StatusCode)
 		}
-		for _, want := range []string{server.ContentTypeBinary, server.ContentTypeNDJSON} {
-			if !strings.Contains(string(msg), want) {
-				t.Errorf("%s: refusal %q does not name %s", tc.ct, msg, want)
-			}
+		if !strings.Contains(string(msg), server.ContentTypeBinary) {
+			t.Errorf("%s: refusal %q does not name %s", tc.ct, msg, server.ContentTypeBinary)
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeNDJSON,
-		bytes.NewBufferString(`{"Session":"","Period":0}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postBatches(t, ts, []profile.Batch{{Session: "", Period: 0}})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -517,7 +520,7 @@ func TestLiveTop(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain()
 
-	bs := []stream.Batch{{
+	bs := []profile.Batch{{
 		Session: "s", Period: 1000,
 		Objects: []profile.ObjInfo{
 			{ID: 0, Name: "a", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1},
@@ -528,7 +531,7 @@ func TestLiveTop(t *testing.T) {
 			{IP: 0x408, EA: 0x9000, Latency: 20, ObjID: 1},
 		},
 	}}
-	resp := postBatches(t, ts, server.ContentTypeNDJSON, bs)
+	resp := postBatches(t, ts, bs)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST: %d", resp.StatusCode)
@@ -583,8 +586,8 @@ func TestReportBuildsMetric(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			defer srv.Drain()
-			post := func(bs []stream.Batch) {
-				resp := postBatches(t, ts, server.ContentTypeBinary, bs)
+			post := func(bs []profile.Batch) {
+				resp := postBatches(t, ts, bs)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusAccepted {
 					t.Fatalf("POST /v1/samples: %d", resp.StatusCode)

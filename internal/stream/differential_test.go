@@ -28,38 +28,16 @@ import (
 var diffOpt = structslim.Options{SamplePeriod: 3000, Seed: 7}
 
 // feed replays the run's per-thread sample streams into the analyzer as
-// one session per thread, split into batches of batchSize samples. The
-// full object table rides on each session's first batch; the cycle
-// accounts ride on the last. With readEvery > 0 it also reads Report
+// one session per thread, split by profile.Split into batches of
+// batchSize samples: the full object table rides on each session's first
+// batch, the cycle accounts on the last. With readEvery > 0 it also reads Report
 // after every readEvery-th batch, so a report cached at one generation
 // meets later batches.
 func feed(t *testing.T, a *stream.Analyzer, res *structslim.RunResult, process string, batchSize, readEvery int) {
 	t.Helper()
 	batches := 0
 	for _, tp := range res.ThreadProfiles {
-		n := len(tp.Samples)
-		var seq uint64
-		for start := 0; start < n || start == 0; start += batchSize {
-			end := start + batchSize
-			if end > n {
-				end = n
-			}
-			b := stream.Batch{
-				Session: fmt.Sprintf("%s-t%03d", process, tp.TID),
-				Process: process,
-				TID:     int32(tp.TID),
-				Period:  tp.Period,
-				Seq:     seq,
-				Samples: tp.Samples[start:end],
-			}
-			if start == 0 {
-				b.Objects = tp.Objects
-			}
-			if end == n {
-				b.AppCycles = tp.AppCycles
-				b.OverheadCycles = tp.OverheadCycles
-				b.MemOps = tp.MemOps
-			}
+		for _, b := range profile.Split(tp, fmt.Sprintf("%s-t%03d", process, tp.TID), process, batchSize) {
 			if err := a.Ingest(b); err != nil {
 				t.Fatal(err)
 			}
@@ -67,10 +45,6 @@ func feed(t *testing.T, a *stream.Analyzer, res *structslim.RunResult, process s
 				if _, err := a.Report(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			seq++
-			if end == n {
-				break
 			}
 		}
 	}
@@ -233,36 +207,10 @@ func TestStreamingShardedConcurrent(t *testing.T) {
 						wg.Add(1)
 						go func(tp *profile.ThreadProfile) {
 							defer wg.Done()
-							n := len(tp.Samples)
-							var seq uint64
-							for start := 0; start < n || start == 0; start += 17 {
-								end := start + 17
-								if end > n {
-									end = n
-								}
-								b := stream.Batch{
-									Session: fmt.Sprintf("p0-t%03d", tp.TID),
-									Process: "p0",
-									TID:     int32(tp.TID),
-									Period:  tp.Period,
-									Seq:     seq,
-									Samples: tp.Samples[start:end],
-								}
-								if start == 0 {
-									b.Objects = tp.Objects
-								}
-								if end == n {
-									b.AppCycles = tp.AppCycles
-									b.OverheadCycles = tp.OverheadCycles
-									b.MemOps = tp.MemOps
-								}
+							for _, b := range profile.Split(tp, fmt.Sprintf("p0-t%03d", tp.TID), "p0", 17) {
 								if err := a.Ingest(b); err != nil {
 									errc <- err
 									return
-								}
-								seq++
-								if end == n {
-									break
 								}
 							}
 						}(tp)

@@ -59,35 +59,10 @@ import (
 	"repro/internal/prog"
 )
 
-// Batch is one ingest message: a slice of a session's sample stream, in
-// the session's observation order. Objects must be registered no later
-// than the first batch whose samples reference them (samples with an
-// unregistered ObjID are treated as unattributed). The final batch of a
-// session may carry the run's cycle accounts.
-type Batch struct {
-	// Session identifies the stream; one session per profiled thread.
-	Session string
-	// Process groups sessions that share one object table. Sessions of
-	// different processes merge by data-centric identity (the paper's
-	// Section 4.4), like profile.MergeProcessProfiles.
-	Process string
-	// TID is the thread ID the session's samples carry.
-	TID int32
-	// Period is the sampling period; all sessions of an analyzer must
-	// agree (mirroring the profile-merge contract).
-	Period uint64
-	// Seq numbers the session's batches for lag diagnostics.
-	Seq uint64
-	// Objects snapshots (part of) the session's data-object table.
-	Objects []profile.ObjInfo
-	// Samples are the address samples, oldest first.
-	Samples []profile.Sample
-	// AppCycles/OverheadCycles/MemOps are the session's final cycle
-	// accounts; nonzero values overwrite the session's current ones.
-	AppCycles      uint64
-	OverheadCycles uint64
-	MemOps         uint64
-}
+// Batch is one ingest message, a profile frame. The analyzer's own API
+// takes profile.Batch; the alias keeps the name the benchmark module
+// (structbench) uses.
+type Batch = profile.Batch
 
 // Config tunes the analyzer. The zero value retains samples and never
 // evicts.
@@ -241,7 +216,7 @@ type session struct {
 // Ingest folds one batch into the analyzer. Batches of one session must
 // arrive in stream order; batches of different sessions may arrive
 // concurrently.
-func (a *Analyzer) Ingest(b Batch) error {
+func (a *Analyzer) Ingest(b profile.Batch) error {
 	if b.Session == "" {
 		return fmt.Errorf("stream: batch without session id")
 	}
@@ -287,7 +262,7 @@ func (a *Analyzer) Ingest(b Batch) error {
 	return nil
 }
 
-func (a *Analyzer) getSession(b *Batch) (*session, error) {
+func (a *Analyzer) getSession(b *profile.Batch) (*session, error) {
 	sh := a.shardFor(b.Session)
 	sh.mu.RLock()
 	s := sh.sessions[b.Session]
@@ -535,6 +510,32 @@ func (s *session) threadProfile() *profile.ThreadProfile {
 	return tp
 }
 
+// SessionProfile is one session lifted to a thread profile.
+type SessionProfile struct {
+	ID, Process string
+	Profile     *profile.ThreadProfile
+}
+
+// SessionProfiles lifts every session to a thread profile from its
+// retained samples and online state, in the canonical (process, TID, id)
+// order.
+func (a *Analyzer) SessionProfiles() ([]SessionProfile, error) {
+	if a.conf.DropSamples {
+		return nil, fmt.Errorf("stream: snapshot unavailable: sample retention is disabled")
+	}
+	sessions := a.sortedSessions()
+	if len(sessions) == 0 {
+		return nil, fmt.Errorf("stream: no sessions")
+	}
+	out := make([]SessionProfile, len(sessions))
+	for i, s := range sessions {
+		s.mu.Lock()
+		out[i] = SessionProfile{ID: s.id, Process: s.process, Profile: s.threadProfile()}
+		s.mu.Unlock()
+	}
+	return out, nil
+}
+
 // Snapshot materializes the merged whole-program profile from the
 // retained per-session state: each session lifts to a thread profile,
 // the thread profiles of one process fold through the reduction tree
@@ -543,23 +544,17 @@ func (s *session) threadProfile() *profile.ThreadProfile {
 // the batch profiler's merged profile given the same complete event
 // stream.
 func (a *Analyzer) Snapshot() (*profile.Profile, error) {
-	if a.conf.DropSamples {
-		return nil, fmt.Errorf("stream: snapshot unavailable: sample retention is disabled")
-	}
-	sessions := a.sortedSessions()
-	if len(sessions) == 0 {
-		return nil, fmt.Errorf("stream: no sessions")
+	sps, err := a.SessionProfiles()
+	if err != nil {
+		return nil, err
 	}
 	var procNames []string
 	byProc := make(map[string][]*profile.ThreadProfile)
-	for _, s := range sessions {
-		s.mu.Lock()
-		tp := s.threadProfile()
-		s.mu.Unlock()
-		if _, ok := byProc[s.process]; !ok {
-			procNames = append(procNames, s.process)
+	for _, sp := range sps {
+		if _, ok := byProc[sp.Process]; !ok {
+			procNames = append(procNames, sp.Process)
 		}
-		byProc[s.process] = append(byProc[s.process], tp)
+		byProc[sp.Process] = append(byProc[sp.Process], sp.Profile)
 	}
 	perProc := make([]*profile.Profile, 0, len(procNames))
 	for _, proc := range procNames {
