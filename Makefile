@@ -27,12 +27,14 @@ fmt:
 	gofmt -w .
 
 # fuzz: a 30s run of each fuzzer no other target runs — the symbolic
-# resolver, the sharing classifier, the frame decoder (profile files and
-# ingest bodies), the stream GCD observer, function finalization and the
-# accumulation-cell table.
+# resolver, the sharing classifier and the simulation engines (all three
+# over internal/progfuzz's one program generator), the frame decoder
+# (profile files and ingest bodies), the stream GCD observer, function
+# finalization and the accumulation-cell table.
 fuzz:
-	$(GO) test ./internal/staticlint/ -run '^$$' -fuzz FuzzResolver -fuzztime 30s
-	$(GO) test ./internal/sharing/ -run '^$$' -fuzz FuzzSharingClassifier -fuzztime 30s
+	$(GO) test ./internal/progfuzz/ -run '^$$' -fuzz '^FuzzResolver$$' -fuzztime 30s
+	$(GO) test ./internal/progfuzz/ -run '^$$' -fuzz '^FuzzSharingClassifier$$' -fuzztime 30s
+	$(GO) test ./internal/progfuzz/ -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime 30s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzIngestDecode -fuzztime 30s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzStreamObserve -fuzztime 30s
 	$(GO) test ./internal/prog/ -run '^$$' -fuzz FuzzFinalize -fuzztime 30s
@@ -41,11 +43,11 @@ fuzz:
 # reuse-check: the static reuse-prediction acceptance suite — the
 # 7-workload static-vs-dynamic differential (per-nest histograms,
 # FromTrace replay, capacity-miss ratios, whole-run bracket) under the
-# race detector, and a short run of the reuse-predictor fuzzer (no-panic
-# + mass conservation).
+# race detector, and a short run of the reuse-predictor fuzzer over
+# internal/progfuzz's program generator (no-panic + mass conservation).
 reuse-check:
 	$(GO) test -race -run 'TestReuseDifferentialWorkloads' .
-	$(GO) test ./internal/staticlint/ -run '^$$' -fuzz FuzzReusePredictor -fuzztime 30s
+	$(GO) test ./internal/progfuzz/ -run '^$$' -fuzz '^FuzzReusePredictor$$' -fuzztime 30s
 
 # stream-smoke: the streaming-service acceptance smoke — start the
 # ingest server, push the quickstart workload's sample stream over HTTP,
@@ -87,12 +89,13 @@ vet-legality:
 # legality-check: the legality acceptance suite — per-object verdict
 # unit tests and the 7-workload verdict+cross-check sweep under the race
 # detector, the end-to-end gate (paper splits pass, planted fixture
-# refused), and a short run of the legality fuzzer (no-panic,
-# deterministic render, replay never contradicts a claim).
+# refused), and a short run of the legality fuzzer over
+# internal/progfuzz's program generator (no-panic, deterministic render,
+# replay never contradicts a claim).
 legality-check:
 	$(GO) test -race ./internal/legality/
 	$(GO) test -race -run 'TestLegalityGate' .
-	$(GO) test ./internal/legality/ -run '^$$' -fuzz FuzzLegality -fuzztime 30s
+	$(GO) test ./internal/progfuzz/ -run '^$$' -fuzz '^FuzzLegality$$' -fuzztime 30s
 
 # bench: one iteration of every root benchmark except the gated sweep,
 # whose single cold round is no measure of the engines.

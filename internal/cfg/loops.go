@@ -22,7 +22,6 @@ type LoopInfo struct {
 	LineHi      int32
 	IPLo        uint64
 	IPHi        uint64
-	NumBlocks   int
 	Irreducible bool
 }
 
@@ -78,7 +77,6 @@ func AnalyzeLoops(p *prog.Program) (*ProgramLoops, error) {
 				LoopID:      l.ID,
 				Depth:       l.Depth,
 				LineLo:      1 << 30,
-				NumBlocks:   len(l.Blocks),
 				Irreducible: l.Irreducible,
 				IPLo:        ^uint64(0),
 			}

@@ -193,7 +193,6 @@ type LoopReport struct {
 type StreamReport struct {
 	IP         uint64
 	Where      string // file:line
-	LoopName   string // "" when outside loops
 	Stride     uint64
 	Offset     uint64 // UnknownOffset if unresolved
 	Samples    uint64
@@ -328,7 +327,7 @@ func (sr *StructReport) buildAdvice(debugType *prog.StructType) *SplitAdvice {
 	return adv
 }
 
-func streamReport(ip uint64, stat *profile.StreamStat, voted bool, off uint64, program *prog.Program, loops *cfg.ProgramLoops) StreamReport {
+func streamReport(ip uint64, stat *profile.StreamStat, voted bool, off uint64, program *prog.Program) StreamReport {
 	rep := StreamReport{
 		IP:         ip,
 		Stride:     stat.GCD,
@@ -339,9 +338,6 @@ func streamReport(ip uint64, stat *profile.StreamStat, voted bool, off uint64, p
 	}
 	if file, line := program.LineOf(ip); file != "" {
 		rep.Where = fmt.Sprintf("%s:%d", file, line)
-	}
-	if li := loops.LoopOfIP(ip); li != nil {
-		rep.LoopName = li.Name()
 	}
 	return rep
 }

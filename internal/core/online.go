@@ -330,7 +330,7 @@ func finalizeStruct(
 		// No regular stream pinned the size: the structure is accessed
 		// irregularly everywhere; report streams but no field analysis.
 		for _, si := range streams {
-			sr.Streams = append(sr.Streams, streamReport(si.key.IP, si.stat, si.voted, UnknownOffset, program, loops))
+			sr.Streams = append(sr.Streams, streamReport(si.key.IP, si.stat, si.voted, UnknownOffset, program))
 		}
 		return sr
 	}
@@ -465,7 +465,7 @@ func finalizeStruct(
 		if obj := objOf(si.stat.FirstObjID); obj != nil {
 			off = stride.Offset(si.stat.FirstEA, obj.Base, size)
 		}
-		sr.Streams = append(sr.Streams, streamReport(si.key.IP, si.stat, si.voted, off, program, loops))
+		sr.Streams = append(sr.Streams, streamReport(si.key.IP, si.stat, si.voted, off, program))
 	}
 
 	// --- Stage 3: affinities and clustering (Equation 7) -----------------

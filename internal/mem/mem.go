@@ -51,11 +51,10 @@ type Object struct {
 	Name     string // symbol name for statics; synthesized for heap
 	Base     uint64
 	Size     uint64
-	AllocIP  uint64   // Alloc instruction IP for heap objects
-	CallPath []uint64 // call-site IPs, outermost first, for heap objects
-	Identity uint64   // hash grouping objects of the same logical structure
-	TypeID   int      // debug-info struct type, or -1
-	GlobalIx int      // index into prog.Globals for statics, else -1
+	AllocIP  uint64 // Alloc instruction IP for heap objects
+	Identity uint64 // hash grouping objects of the same logical structure
+	TypeID   int    // debug-info struct type, or -1
+	GlobalIx int    // index into prog.Globals for statics, else -1
 }
 
 // page granularity of the backing store.
@@ -217,7 +216,6 @@ func (s *Space) AllocHeap(size uint64, allocIP uint64, callPath []uint64, typeID
 	}
 	base := alignUp64(s.heapCursor, allocAlign)
 	s.heapCursor = base + size
-	cp := append([]uint64(nil), callPath...)
 	o := &Object{
 		ID:       len(s.objects),
 		Kind:     HeapObj,
@@ -225,8 +223,7 @@ func (s *Space) AllocHeap(size uint64, allocIP uint64, callPath []uint64, typeID
 		Base:     base,
 		Size:     size,
 		AllocIP:  allocIP,
-		CallPath: cp,
-		Identity: heapIdentity(allocIP, cp),
+		Identity: heapIdentity(allocIP, callPath),
 		TypeID:   typeID,
 		GlobalIx: -1,
 	}

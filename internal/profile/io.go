@@ -16,17 +16,38 @@ import (
 // profileFileName names the per-thread profile file.
 func profileFileName(tid int) string { return fmt.Sprintf("profile.%d.ssb", tid) }
 
-// WriteDir writes each thread profile into dir (created if needed).
+// profileGlob matches every profile file name.
+const profileGlob = "profile.*.ssb"
+
+// WriteDir writes each thread profile into dir (created if needed) and
+// then removes every other profile file there, so that ReadDir returns
+// exactly tps and never merges a thread left by an earlier run. Files
+// that are not profiles are left alone.
 func WriteDir(dir string, tps []*ThreadProfile) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	written := make(map[string]bool, len(tps))
 	for _, tp := range tps {
 		data, err := AppendThread(nil, tp, fmt.Sprintf("t%d", tp.TID), "")
 		if err != nil {
 			return fmt.Errorf("thread %d: %w", tp.TID, err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, profileFileName(tp.TID)), data, 0o644); err != nil {
+		path := filepath.Join(dir, profileFileName(tp.TID))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+		written[path] = true
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, profileGlob))
+	if err != nil {
+		return err
+	}
+	for _, m := range matches {
+		if written[m] {
+			continue
+		}
+		if err := os.Remove(m); err != nil {
 			return err
 		}
 	}
@@ -38,7 +59,7 @@ func WriteDir(dir string, tps []*ThreadProfile) error {
 // sees, so the order must be the one the profiler produced, not the
 // file names' (profile.10 sorts before profile.2).
 func ReadDir(dir string) ([]*ThreadProfile, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "profile.*.ssb"))
+	matches, err := filepath.Glob(filepath.Join(dir, profileGlob))
 	if err != nil {
 		return nil, err
 	}

@@ -132,6 +132,49 @@ func TestReadDirThreadOrder(t *testing.T) {
 	}
 }
 
+// TestWriteDirReplacesStaleProfiles: writing one thread's profile into a
+// directory that holds an earlier run's four leaves exactly that one
+// for ReadDir; a file that is not a profile survives.
+func TestWriteDirReplacesStaleProfiles(t *testing.T) {
+	threads := func(n int, ip uint64) []*ThreadProfile {
+		var tps []*ThreadProfile
+		for tid := 0; tid < n; tid++ {
+			tp := NewThreadProfile(tid, 3000)
+			tp.Objects = []ObjInfo{{ID: 1, Name: "arr", Base: 0x1000, Size: 4096, Identity: 11}}
+			for k := 0; k < 3; k++ {
+				tp.Add(Sample{
+					TID: int32(tid), IP: ip, EA: uint64(0x1000 + 0x40*tid + 0x100*k),
+					Latency: 10, ObjID: 1,
+				}, 11)
+			}
+			tps = append(tps, tp)
+		}
+		return tps
+	}
+	dir := t.TempDir()
+	other := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(other, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDir(dir, threads(4, 0x400200)); err != nil {
+		t.Fatal(err)
+	}
+	want := threads(1, 0x400300)
+	if err := WriteDir(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ReadDir returned %d profiles, want exactly the 1 written last", len(got))
+	}
+	if data, err := os.ReadFile(other); err != nil || string(data) != "keep" {
+		t.Errorf("unrelated file: %q, %v; want it untouched", data, err)
+	}
+}
+
 // TestReadDirNoProfiles: a missing directory and an existing-but-empty
 // directory both fail with an error naming the directory, not a nil
 // slice the caller would merge into an empty profile.

@@ -245,7 +245,6 @@ func (a *Analysis) detectFalseShares(role *Role, claims []*FieldClaim) {
 			for j := i; j < len(fields); j++ {
 				fa, fb := fields[i], fields[j]
 				fs.Edges = append(fs.Edges, KeepApart{
-					FieldA: fa.Field, FieldB: fb.Field,
 					NameA: fa.FieldName, NameB: fb.FieldName,
 					OffA: fieldOffset(st, fa), OffB: fieldOffset(st, fb),
 				})

@@ -130,9 +130,8 @@ func (c *FieldClaim) key() [3]int { return [3]int{c.Role.Phase, c.Global, c.Fiel
 // a field false-shares with its own instances in neighbor elements) that
 // should not share a cache line across threads.
 type KeepApart struct {
-	FieldA, FieldB int // field indexes, -1 for untyped objects
-	NameA, NameB   string
-	OffA, OffB     int64
+	NameA, NameB string
+	OffA, OffB   int64
 }
 
 // FalseShare is one predicted false-sharing site: private per-thread

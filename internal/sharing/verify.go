@@ -140,8 +140,7 @@ func (po *PhaseObs) ContendedLine(global, field int) (tag uint64, mask uint64, o
 
 // RunObs is the full dynamic observation of one verification run.
 type RunObs struct {
-	Phases     []*PhaseObs
-	CacheStats cache.Stats
+	Phases []*PhaseObs
 }
 
 // PhaseAt returns the observation of phase pi, or nil.
@@ -301,7 +300,7 @@ func VerifyRun(p *prog.Program, phases [][]vm.ThreadSpec, cacheCfg cache.Config)
 			return nil, err
 		}
 	}
-	return &RunObs{Phases: v.phases, CacheStats: m.Caches.Stats()}, nil
+	return &RunObs{Phases: v.phases}, nil
 }
 
 func popcount(m uint64) int {

@@ -206,8 +206,6 @@ type session struct {
 	overheadCycles uint64
 	memOps         uint64
 	lastCycle      uint64
-	batches        uint64
-	lastSeq        uint64
 
 	evictedStreams    uint64
 	evictedIdentities uint64
@@ -256,8 +254,6 @@ func (a *Analyzer) Ingest(b profile.Batch) error {
 	if b.MemOps != 0 {
 		s.memOps = b.MemOps
 	}
-	s.batches++
-	s.lastSeq = b.Seq
 	a.gen.Add(1)
 	return nil
 }
@@ -703,8 +699,6 @@ type SessionInfo struct {
 	Process string
 	TID     int32
 
-	Batches    uint64
-	LastSeq    uint64
 	NumSamples uint64
 	LastCycle  uint64
 
@@ -732,8 +726,6 @@ func (a *Analyzer) Sessions() []SessionInfo {
 			ID:                s.id,
 			Process:           s.process,
 			TID:               s.tid,
-			Batches:           s.batches,
-			LastSeq:           s.lastSeq,
 			NumSamples:        s.numSamples,
 			LastCycle:         s.lastCycle,
 			Streams:           s.streams.len(),

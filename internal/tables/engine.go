@@ -166,7 +166,6 @@ func (e *Engine) RunBenchmark(w workloads.Workload) (*BenchResult, error) {
 		Workload:    w,
 		Report:      rep,
 		HotStruct:   sr,
-		SplitLayout: layout,
 		OrigCycles:  orig.Cycles,
 		SplitCycles: split.Cycles,
 		Speedup:     float64(orig.Cycles) / float64(split.Cycles),
@@ -305,11 +304,7 @@ func (e *Engine) BaselineComparison(name string) ([]BaselineRow, error) {
 				if err != nil {
 					return instrumented{}, err
 				}
-				factor := 1.0
-				if st.AppWallCycles > 0 {
-					factor = float64(st.WallCycles) / float64(st.AppWallCycles)
-				}
-				return instrumented{Exact: rec.Report(), Factor: factor}, nil
+				return instrumented{Exact: rec.Report(), Factor: groundtruth.OverheadFactor(st)}, nil
 			})
 		}
 	}

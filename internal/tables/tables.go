@@ -13,7 +13,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/pebs"
-	"repro/internal/prog"
 	"repro/internal/workloads"
 	"repro/structslim"
 )
@@ -78,9 +77,8 @@ func (o Options) runOptions() structslim.Options {
 type BenchResult struct {
 	Workload workloads.Workload
 
-	Report      *core.Report
-	HotStruct   *core.StructReport
-	SplitLayout *prog.PhysLayout
+	Report    *core.Report
+	HotStruct *core.StructReport
 
 	OrigCycles  uint64
 	SplitCycles uint64

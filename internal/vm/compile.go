@@ -394,10 +394,6 @@ func (m *Machine) stepThreadFast(t *Thread, quantum int) (uint64, error) {
 			size := uint64(regs[u.rs1])
 			obj := space.AllocHeap(size, u.ip, t.callPath, int(u.target))
 			regs[u.rd] = int64(obj.Base)
-			if m.AllocObserver != nil {
-				t.Instrs, t.Cycles, t.MemOps = instrs, cycles, memOps
-				m.AllocObserver.OnAlloc(t.ID, obj)
-			}
 		case isa.GAddr:
 			regs[u.rd] = u.imm
 

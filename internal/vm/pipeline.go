@@ -44,7 +44,7 @@ const (
 //   - Config.Reference selects the test oracle (no compiled code);
 //   - statistical mode is on: fast-forwards age the hierarchy from the
 //     functional side;
-//   - any observer other than a GapSampler is attached — access, alloc or
+//   - any observer other than a GapSampler is attached — access or
 //     coherence observers read machine state or see every access as it
 //     happens;
 //   - there is one P, so nothing could overlap.
@@ -53,7 +53,6 @@ func (m *Machine) pipelines() bool {
 	case m.code == nil,
 		m.stat,
 		m.Observer != nil && m.gap == nil,
-		m.AllocObserver != nil,
 		m.Caches.CoherenceObserver() != nil,
 		runtime.GOMAXPROCS(0) == 1:
 		return false

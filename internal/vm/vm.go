@@ -35,7 +35,7 @@
 // before it reads a statistic, and re-raises a timing-side panic on the
 // caller's goroutine. Machine.pipelines is the one selection point:
 // the timing runs inline under Config.Reference, in statistical mode,
-// with any observer other than a GapSampler (access, alloc or coherence
+// with any observer other than a GapSampler (access or coherence
 // observers read machine state as it happens), and when GOMAXPROCS is 1.
 //
 // Either way every engine retires the same instructions in the same
@@ -88,12 +88,6 @@ type MemEvent struct {
 // observers that keep data must copy it out.
 type AccessObserver interface {
 	OnAccess(ev *MemEvent) (overheadCycles uint64)
-}
-
-// AllocObserver is notified of heap allocations (the interposed-malloc
-// hook used by data-centric attribution).
-type AllocObserver interface {
-	OnAlloc(tid int, obj *mem.Object)
 }
 
 // ThreadSpec launches one thread: the function to run, up to six integer
@@ -250,8 +244,7 @@ type Machine struct {
 	Space  *mem.Space
 	Caches *cache.Hierarchy
 
-	Observer      AccessObserver
-	AllocObserver AllocObserver
+	Observer AccessObserver
 
 	Threads []*Thread
 
@@ -642,9 +635,6 @@ func (m *Machine) stepThread(t *Thread, quantum int) (uint64, error) {
 			}
 			obj := space.AllocHeap(size, in.IP, t.callPath, tid)
 			regs[in.Rd] = int64(obj.Base)
-			if m.AllocObserver != nil {
-				m.AllocObserver.OnAlloc(t.ID, obj)
-			}
 		case isa.GAddr:
 			regs[in.Rd] = int64(m.globalBase[in.Imm])
 

@@ -22,7 +22,6 @@ func (art) Name() string        { return "art" }
 func (art) Suite() string       { return "SPEC CPU 2000" }
 func (art) Description() string { return "Neural network based object recognition in a thermal image" }
 func (art) Parallel() bool      { return false }
-func (art) Threads() int        { return 1 }
 
 func (art) Record() *prog.RecordSpec {
 	return prog.MustRecord("f1_neuron",

@@ -25,7 +25,6 @@ func (clomp) Description() string {
 	return "Designed to measure OpenMP and multi-threading performance issues"
 }
 func (clomp) Parallel() bool { return true }
-func (clomp) Threads() int   { return 4 }
 
 func (clomp) Record() *prog.RecordSpec {
 	return prog.MustRecord("_Zone",

@@ -34,7 +34,6 @@ func (escape) Description() string {
 	return "Planted illegal split: hot/cold profile with an escaping field address"
 }
 func (escape) Parallel() bool { return false }
-func (escape) Threads() int   { return 1 }
 
 func (escape) Record() *prog.RecordSpec {
 	return prog.MustRecord("packet",

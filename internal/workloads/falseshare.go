@@ -41,7 +41,6 @@ func (falseshare) Description() string {
 	return "Planted false sharing: per-thread counters packed into one cache line"
 }
 func (falseshare) Parallel() bool { return true }
-func (falseshare) Threads() int   { return 4 }
 
 func (falseshare) Record() *prog.RecordSpec {
 	return prog.MustRecord("_Stat",

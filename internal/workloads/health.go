@@ -25,7 +25,6 @@ func (health) Name() string        { return "health" }
 func (health) Suite() string       { return "The Barcelona OpenMP Task Suite" }
 func (health) Description() string { return "Columbian health care simulation" }
 func (health) Parallel() bool      { return true }
-func (health) Threads() int        { return 4 }
 
 func (health) Record() *prog.RecordSpec {
 	return prog.MustRecord("Patient",

@@ -20,7 +20,6 @@ func (libquantum) Name() string        { return "libquantum" }
 func (libquantum) Suite() string       { return "SPEC CPU 2006" }
 func (libquantum) Description() string { return "Simulation of quantum computer" }
 func (libquantum) Parallel() bool      { return false }
-func (libquantum) Threads() int        { return 1 }
 
 func (libquantum) Record() *prog.RecordSpec {
 	return prog.MustRecord("quantum_reg_node_struct",

@@ -23,7 +23,6 @@ func (mcf) Name() string        { return "mcf" }
 func (mcf) Suite() string       { return "SPEC CPU 2006" }
 func (mcf) Description() string { return "Vehicle scheduling by network simplex" }
 func (mcf) Parallel() bool      { return false }
-func (mcf) Threads() int        { return 1 }
 
 func (mcf) Record() *prog.RecordSpec {
 	return prog.MustRecord("arc",

@@ -33,7 +33,6 @@ func (mislaid) Description() string {
 	return "Advice-suboptimal layout: grouping the co-accessed pair loses to the full split"
 }
 func (mislaid) Parallel() bool { return false }
-func (mislaid) Threads() int   { return 1 }
 
 func (mislaid) Record() *prog.RecordSpec {
 	return prog.MustRecord("mrec",

@@ -20,7 +20,6 @@ func (mser) Name() string        { return "mser" }
 func (mser) Suite() string       { return "The San Diego Vision Benchmark Suite" }
 func (mser) Description() string { return "Image analyser for face detection" }
 func (mser) Parallel() bool      { return false }
-func (mser) Threads() int        { return 1 }
 
 func (mser) Record() *prog.RecordSpec {
 	return prog.MustRecord("node_t",

@@ -24,7 +24,6 @@ func (nn) Name() string        { return "nn" }
 func (nn) Suite() string       { return "Rodinia 3.0" }
 func (nn) Description() string { return "Find k-nearest neighbour from unstructured data set" }
 func (nn) Parallel() bool      { return true }
-func (nn) Threads() int        { return 4 }
 
 func (nn) Record() *prog.RecordSpec {
 	return prog.MustRecord("neighbor",

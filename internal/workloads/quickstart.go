@@ -21,7 +21,6 @@ func (quickstart) Name() string        { return "quickstart" }
 func (quickstart) Suite() string       { return "StructSlim tutorial" }
 func (quickstart) Description() string { return "padded record walked by two disjoint loops" }
 func (quickstart) Parallel() bool      { return false }
-func (quickstart) Threads() int        { return 1 }
 
 func (quickstart) Record() *prog.RecordSpec {
 	return prog.MustRecord("qrec",

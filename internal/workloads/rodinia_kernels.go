@@ -25,16 +25,10 @@ type bespokeKernel struct {
 	build   func(s Scale) (*prog.Program, []Phase, error)
 }
 
-func (k bespokeKernel) Name() string        { return k.name }
-func (k bespokeKernel) Suite() string       { return k.suite }
-func (k bespokeKernel) Description() string { return k.desc }
-func (k bespokeKernel) Parallel() bool      { return k.threads > 1 }
-func (k bespokeKernel) Threads() int {
-	if k.threads < 1 {
-		return 1
-	}
-	return k.threads
-}
+func (k bespokeKernel) Name() string             { return k.name }
+func (k bespokeKernel) Suite() string            { return k.suite }
+func (k bespokeKernel) Description() string      { return k.desc }
+func (k bespokeKernel) Parallel() bool           { return k.threads > 1 }
 func (k bespokeKernel) Record() *prog.RecordSpec { return nil }
 
 func (k bespokeKernel) Build(l *prog.PhysLayout, s Scale) (*prog.Program, []Phase, error) {

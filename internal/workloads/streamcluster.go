@@ -23,7 +23,6 @@ func (streamcluster) Name() string        { return "streamcluster" }
 func (streamcluster) Suite() string       { return "Rodinia 3.0" }
 func (streamcluster) Description() string { return "Online stream clustering" }
 func (streamcluster) Parallel() bool      { return false }
-func (streamcluster) Threads() int        { return 1 }
 
 func (streamcluster) Record() *prog.RecordSpec {
 	return prog.MustRecord("Point",

@@ -36,7 +36,6 @@ func (k suiteKernel) Name() string             { return k.name }
 func (k suiteKernel) Suite() string            { return k.suite }
 func (k suiteKernel) Description() string      { return k.desc }
 func (k suiteKernel) Parallel() bool           { return false }
-func (k suiteKernel) Threads() int             { return 1 }
 func (k suiteKernel) Record() *prog.RecordSpec { return nil }
 
 func (k suiteKernel) Build(l *prog.PhysLayout, s Scale) (*prog.Program, []Phase, error) {

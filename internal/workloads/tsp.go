@@ -41,7 +41,6 @@ func (tsp) Name() string        { return "tsp" }
 func (tsp) Suite() string       { return "Olden" }
 func (tsp) Description() string { return "Traveling Salesman Problem solver" }
 func (tsp) Parallel() bool      { return false }
-func (tsp) Threads() int        { return 1 }
 
 func (tsp) Record() *prog.RecordSpec {
 	return prog.MustRecord("tree",

@@ -70,9 +70,6 @@ type Workload interface {
 	Description() string
 	// Parallel reports whether the workload runs multithreaded.
 	Parallel() bool
-	// Threads is the thread count of the parallel phase (1 for
-	// sequential workloads). The paper runs parallel benchmarks with 4.
-	Threads() int
 	// Record is the hot record type the paper splits, or nil when the
 	// workload has no structure-splitting opportunity (suite stand-ins).
 	Record() *prog.RecordSpec

@@ -119,8 +119,19 @@ func TestRegistry(t *testing.T) {
 		if w.Description() == "" || w.Suite() == "" {
 			t.Errorf("%s: missing metadata", w.Name())
 		}
-		if w.Parallel() != (w.Threads() > 1) {
-			t.Errorf("%s: Parallel/Threads disagree", w.Name())
+	}
+	// Parallel is true exactly when some phase runs more than one thread.
+	for _, w := range workloads.All() {
+		_, phases, err := w.Build(nil, workloads.ScaleTest)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		multi := false
+		for _, ph := range phases {
+			multi = multi || len(ph) > 1
+		}
+		if w.Parallel() != multi {
+			t.Errorf("%s: Parallel() = %v, multi-thread phase = %v", w.Name(), w.Parallel(), multi)
 		}
 	}
 	if _, err := workloads.Get("nope"); err == nil {
