@@ -32,17 +32,15 @@ import (
 func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
-		name       = fs.String("workload", "", "workload whose binary the analysis reports against (empty: snapshot/live only)")
-		scale      = fs.String("scale", "test", "problem scale the pushed program was built at: test or bench")
-		addr       = fs.String("addr", "127.0.0.1:7080", "listen address")
-		queue      = fs.Int("queue", 64, "per-session ingest queue depth (batches)")
-		shards     = fs.Int("shards", 8, "session-partitioned analyzer shards (1 = unsharded; results are identical at any count)")
-		maxStreams = fs.Int("max-streams", 0, "bound live streams per session, LRU-evicting cold ones (0 = unbounded)")
-		maxIdents  = fs.Int("max-identities", 0, "bound tracked identities per session (0 = unbounded)")
-		dropSamp   = fs.Bool("drop-samples", false, "do not retain raw samples (disables the /v1/snapshot frames, ?source=snapshot reports and /v1/optimize; online reports stay exact)")
-		topK       = fs.Int("topk", 3, "data structures to analyze in depth")
-		thresh     = fs.Float64("affinity", 0.5, "affinity clustering threshold")
-		optPar     = fs.Int("optimize-parallel", runtime.GOMAXPROCS(0),
+		name     = fs.String("workload", "", "workload whose binary the analysis reports against (empty: snapshot/live only)")
+		scale    = fs.String("scale", "test", "problem scale the pushed program was built at: test or bench")
+		addr     = fs.String("addr", "127.0.0.1:7080", "listen address")
+		queue    = fs.Int("queue", 64, "per-session ingest queue depth (batches)")
+		shards   = fs.Int("shards", 8, "session-partitioned analyzer shards (1 = unsharded; results are identical at any count)")
+		dropSamp = fs.Bool("drop-samples", false, "do not retain raw samples (disables the /v1/snapshot frames, ?source=snapshot reports and /v1/optimize; online reports stay exact)")
+		topK     = fs.Int("topk", 3, "data structures to analyze in depth")
+		thresh   = fs.Float64("affinity", 0.5, "affinity clustering threshold")
+		optPar   = fs.Int("optimize-parallel", runtime.GOMAXPROCS(0),
 			"worker pool for POST /v1/optimize candidate measurements (results identical at any value)")
 		finalRep = fs.Bool("final-report", true, "print the report after draining on shutdown")
 	)
@@ -58,11 +56,9 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 	conf := stream.Config{
-		MaxStreams:    *maxStreams,
-		MaxIdentities: *maxIdents,
-		DropSamples:   *dropSamp,
-		Shards:        *shards,
-		Analysis:      core.Options{TopK: *topK, AffinityThreshold: *thresh},
+		DropSamples: *dropSamp,
+		Shards:      *shards,
+		Analysis:    core.Options{TopK: *topK, AffinityThreshold: *thresh},
 	}
 	w, an, err := newAnalyzer(*name, sc, conf)
 	if err != nil {

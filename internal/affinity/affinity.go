@@ -69,15 +69,11 @@ type Matrix struct {
 	Edges  []Edge    // all pairs with nonzero total latency, sorted by (OffA, OffB)
 
 	byPair map[[2]FieldID]int
-	total  map[FieldID]uint64
 }
 
 // Compute evaluates Equation 7 over everything added so far.
 func (b *Builder) Compute() *Matrix {
-	m := &Matrix{
-		byPair: make(map[[2]FieldID]int),
-		total:  b.total,
-	}
+	m := &Matrix{byPair: make(map[[2]FieldID]int)}
 	for f := range b.total {
 		m.Fields = append(m.Fields, f)
 	}
@@ -134,9 +130,6 @@ func (m *Matrix) Affinity(a, b FieldID) float64 {
 	}
 	return 0
 }
-
-// FieldLatency returns the program-wide latency attributed to a field.
-func (m *Matrix) FieldLatency(f FieldID) uint64 { return m.total[f] }
 
 // Cluster partitions the fields into groups by single-link clustering:
 // fields joined by any edge with affinity ≥ threshold land in the same

@@ -137,19 +137,6 @@ func TestClusterThresholdBoundary(t *testing.T) {
 	}
 }
 
-func TestFieldLatency(t *testing.T) {
-	b := NewBuilder()
-	b.Add(1, 0, 70)
-	b.Add(2, 0, 30)
-	m := b.Compute()
-	if got := m.FieldLatency(0); got != 100 {
-		t.Errorf("FieldLatency = %d", got)
-	}
-	if m.FieldLatency(99) != 0 {
-		t.Error("unknown field latency should be 0")
-	}
-}
-
 func TestAffinitySelfAndUnknown(t *testing.T) {
 	b := NewBuilder()
 	b.Add(1, 0, 10)

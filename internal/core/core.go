@@ -143,8 +143,9 @@ type StructReport struct {
 	// came from stream.Analyzer.Report, which shares it.
 	Legality *LegalitySummary
 
-	// debugFields caches the debug-info field layout for name lookups.
-	debugFields []prog.PhysField
+	// debugType is the debug-info layout for name lookups, nil without
+	// debug info; JSON carries only TypeName and TrueSize.
+	debugType *prog.StructType
 }
 
 // LegalitySummary condenses the alias/escape pass's per-object verdicts
@@ -258,26 +259,13 @@ func (sr *StructReport) fieldName(off uint64) string {
 	if sr.TrueSize > 0 {
 		// InferredSize may be a multiple of the true size; normalize.
 		o := off % uint64(sr.TrueSize)
-		if sr.TypeName != "" {
-			if f := sr.debugFieldAt(int(o)); f != nil {
+		if sr.debugType != nil {
+			if f := sr.debugType.FieldAt(int(o)); f != nil {
 				return f.Name
 			}
 		}
 	}
 	return fmt.Sprintf("+%d", off)
-}
-
-// debugField finds the debug field covering an offset. StructReport does
-// not retain the *StructType to stay serialization-friendly, so the
-// analyzer stashes the fields it needs.
-func (sr *StructReport) debugFieldAt(off int) *prog.PhysField {
-	for i := range sr.debugFields {
-		f := &sr.debugFields[i]
-		if off >= f.Offset && off < f.Offset+f.Size {
-			return f
-		}
-	}
-	return nil
 }
 
 // buildAdvice converts offset clusters into a field partition. With debug

@@ -295,7 +295,7 @@ func finalizeStruct(
 		debugType = program.Types[ip.anyObj.TypeID]
 		sr.TypeName = debugType.Name
 		sr.TrueSize = debugType.Size
-		sr.debugFields = debugType.Fields
+		sr.debugType = debugType
 	}
 
 	// --- Stage 2a: streams and strides (Equations 2–3, 5) ---------------

@@ -102,7 +102,7 @@ func (sr *StructReport) renderText(w io.Writer) {
 	case len(sr.Advice.Groups) < 2:
 		fmt.Fprintf(w, "  No split recommended: all sampled fields belong together.\n")
 	default:
-		fmt.Fprintf(w, "  Splitting advice:\n%s", indent(sr.Advice.RenderStructs(sr.debugFields), "    "))
+		fmt.Fprintf(w, "  Splitting advice:\n%s", indent(sr.RenderAdvice(), "    "))
 	}
 	if lg := sr.Legality; lg != nil {
 		fmt.Fprintf(w, "  Transform legality: %s", strings.ToUpper(lg.Verdict))
@@ -181,7 +181,11 @@ func (sr *StructReport) RenderAdvice() string {
 	if sr.Advice == nil {
 		return ""
 	}
-	return sr.Advice.RenderStructs(sr.debugFields)
+	var fields []prog.PhysField
+	if sr.debugType != nil {
+		fields = sr.debugType.Fields
+	}
+	return sr.Advice.RenderStructs(fields)
 }
 
 // FieldGroups returns the advised partition as field-name groups,

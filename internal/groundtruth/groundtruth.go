@@ -30,7 +30,7 @@ import (
 // Kind selects the modeled instrumentation flavour.
 type Kind uint8
 
-// Instrumentation kinds with their default per-access costs (cycles).
+// Instrumentation kinds with their per-access costs (cycles, see cost).
 // The costs are calibrated to land the slowdowns the paper quotes for
 // each family on memory-bound code.
 const (
@@ -49,7 +49,8 @@ func (k Kind) String() string {
 	return "counting"
 }
 
-func (k Kind) defaultCost() uint64 {
+// cost is the kind's instrumentation cost per access, in cycles.
+func (k Kind) cost() uint64 {
 	if k == KindReuse {
 		return 1800
 	}
@@ -59,12 +60,11 @@ func (k Kind) defaultCost() uint64 {
 // Config tunes the recorder.
 type Config struct {
 	Kind Kind
-	// PerAccessCost overrides the kind's default instrumentation cost.
-	PerAccessCost uint64
-	// LineShift is the cache-line granularity of reuse analysis
-	// (default 6 → 64-byte lines).
-	LineShift uint
 }
+
+// lineShift is the cache-line granularity of reuse analysis: 64-byte
+// lines.
+const lineShift = 6
 
 // Recorder observes every memory access, performing exact data-centric
 // attribution; it implements vm.AccessObserver.
@@ -91,12 +91,6 @@ type Recorder struct {
 // NewRecorder builds a recorder for a loaded machine's space and its
 // program.
 func NewRecorder(cfg Config, space *mem.Space, program *prog.Program) (*Recorder, error) {
-	if cfg.PerAccessCost == 0 {
-		cfg.PerAccessCost = cfg.Kind.defaultCost()
-	}
-	if cfg.LineShift == 0 {
-		cfg.LineShift = 6
-	}
 	loops, err := cfgAnalyze(program)
 	if err != nil {
 		return nil, err
@@ -132,7 +126,7 @@ func (r *Recorder) OnAccess(ev *vm.MemEvent) uint64 {
 	r.totalLatency += uint64(ev.Latency)
 
 	if r.Reuse != nil {
-		r.Reuse.Observe(ev.EA >> r.cfg.LineShift)
+		r.Reuse.Observe(ev.EA >> lineShift)
 	}
 
 	if obj := r.space.FindObject(ev.EA); obj != nil {
@@ -167,7 +161,7 @@ func (r *Recorder) OnAccess(ev *vm.MemEvent) uint64 {
 			ab.Add(affKey, off, uint64(ev.Latency))
 		}
 	}
-	return r.cfg.PerAccessCost
+	return r.cfg.Kind.cost()
 }
 
 func typeOf(p *prog.Program, obj *mem.Object) *prog.StructType {
@@ -201,7 +195,7 @@ func (r *Recorder) Report() *Exact {
 		Kind:          r.cfg.Kind,
 		Accesses:      r.accesses,
 		TotalLatency:  r.totalLatency,
-		PerAccessCost: r.cfg.PerAccessCost,
+		PerAccessCost: r.cfg.Kind.cost(),
 		FieldShare:    make(map[uint64]map[uint64]float64),
 		StructShare:   make(map[uint64]float64),
 		Affinity:      make(map[uint64]*affinity.Matrix),

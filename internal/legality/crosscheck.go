@@ -79,7 +79,7 @@ func NewObserver(a *Analysis, space *mem.Space) *Observer {
 		s := uint64(v.Type.Size)
 		co := &checkedObj{verdict: v, size: s, fieldOfByte: make([]int8, s)}
 		for b := uint64(0); b < s; b++ {
-			co.fieldOfByte[b] = int8(fieldIdxAt(v.Type, int(b)))
+			co.fieldOfByte[b] = int8(v.Type.FieldIndexAt(int(b)))
 		}
 		ob.checked[id] = co
 	}

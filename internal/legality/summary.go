@@ -7,7 +7,7 @@ package legality
 // array regrouping can skip arrays no transform may touch.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/profile"
@@ -57,27 +57,9 @@ func SummaryFor(a *Analysis, name, typeName string) *core.LegalitySummary {
 			}
 		}
 	}
-	sum.Pairs = dedupNamePairs(sum.Pairs)
+	slices.SortFunc(sum.Pairs, comparePairs)
+	sum.Pairs = slices.Compact(sum.Pairs)
 	return sum
-}
-
-func dedupNamePairs(ps [][2]string) [][2]string {
-	if len(ps) == 0 {
-		return nil
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-	out := ps[:1]
-	for _, p := range ps[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // FrozenIdentities maps Frozen verdicts onto profile identities: heap

@@ -7,25 +7,15 @@ package legality
 // keep-together pairs, and escapes/unattributable accesses freeze.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/prog"
 	"repro/internal/stride"
 )
-
-// fieldIdxAt returns the index of the field covering byte `off`, or -1
-// for padding / out of range.
-func fieldIdxAt(st *prog.StructType, off int) int {
-	for i := range st.Fields {
-		f := &st.Fields[i]
-		if off >= f.Offset && off < f.Offset+f.Size {
-			return i
-		}
-	}
-	return -1
-}
 
 // footMask maps one footprint contribution onto the record layout.
 // Offsets from the object base are c + m·Z; reduced mod the element size
@@ -51,7 +41,7 @@ func footMask(st *prog.StructType, r resid, size uint8) (mask uint64, spanning, 
 	for o := umod64(r.c, d); o < s; o += d {
 		var span uint64
 		for j := uint64(0); j < uint64(size); j++ {
-			if fi := fieldIdxAt(st, int((o+j)%s)); fi >= 0 {
+			if fi := st.FieldIndexAt(int((o + j) % s)); fi >= 0 {
 				span |= 1 << uint(fi)
 			}
 		}
@@ -183,7 +173,8 @@ func (a *Analysis) buildVerdicts(col *collector) {
 
 	// Finalize: dedup pairs, order reasons, assign verdicts.
 	for id, v := range a.verdictOf {
-		v.Pairs = dedupPairs(v.Pairs)
+		slices.SortFunc(v.Pairs, comparePairs)
+		v.Pairs = slices.Compact(v.Pairs)
 		sort.SliceStable(v.Reasons, func(i, j int) bool {
 			ri, rj := v.Reasons[i], v.Reasons[j]
 			if ri.Field != rj.Field {
@@ -236,21 +227,8 @@ func bitIndices(mask uint64) []int {
 	return out
 }
 
-func dedupPairs(ps [][2]int) [][2]int {
-	if len(ps) == 0 {
-		return nil
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-	out := ps[:1]
-	for _, p := range ps[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+// comparePairs orders pairs lexicographically, for sorting them before
+// slices.Compact drops the repeats.
+func comparePairs[T cmp.Ordered](x, y [2]T) int {
+	return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
 }

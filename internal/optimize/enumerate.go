@@ -14,7 +14,7 @@
 //     sharing analysis flagged KeepApart pairs. Every grouping is gated
 //     through the transform-legality verdict (frozen structures emit no
 //     candidates; keep-together pairs are union-find merged by
-//     split.LayoutFromGroupsChecked) and deduplicated structurally.
+//     split.LayoutFromGroups) and deduplicated structurally.
 //  2. Each candidate is lowered to a prog.PhysLayout the workload can be
 //     rebuilt with — the mechanical transform.
 //  3. Run / RunWithReport execute the baseline and every variant once
@@ -107,7 +107,7 @@ func Enumerate(rec *prog.RecordSpec, sr *core.StructReport, opt EnumOptions) ([]
 		if len(out) >= max {
 			return
 		}
-		l, err := split.LayoutFromGroupsChecked(rec, groups, sr.Legality)
+		l, err := split.LayoutFromGroups(rec, groups, sr.Legality)
 		if err != nil {
 			return
 		}

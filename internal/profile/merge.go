@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -96,8 +98,8 @@ func mergeProfiles(a, b *Profile) (*Profile, error) {
 	out.NumSamples = a.NumSamples + b.NumSamples
 	out.TotalLatency = a.TotalLatency + b.TotalLatency
 	out.MemOps = a.MemOps + b.MemOps
-	out.AppCycles = max64(a.AppCycles, b.AppCycles)
-	out.OverheadCycles = max64(a.OverheadCycles, b.OverheadCycles)
+	out.AppCycles = max(a.AppCycles, b.AppCycles)
+	out.OverheadCycles = max(a.OverheadCycles, b.OverheadCycles)
 
 	for key, st := range a.Streams {
 		cp := *st
@@ -123,22 +125,7 @@ func mergeProfiles(a, b *Profile) (*Profile, error) {
 			out.Objects = append(out.Objects, oi)
 		}
 	}
-	sortObjects(out.Objects)
+	// IDs are unique after the union, so an unstable sort is exact.
+	slices.SortFunc(out.Objects, func(x, y ObjInfo) int { return cmp.Compare(x.ID, y.ID) })
 	return out, nil
-}
-
-func sortObjects(objs []ObjInfo) {
-	// Insertion sort: inputs are nearly sorted (usually fully sorted).
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && objs[j].ID < objs[j-1].ID; j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
-	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

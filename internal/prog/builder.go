@@ -135,9 +135,6 @@ func (b *Builder) SetEntry(fn int) { b.p.EntryFn = fn }
 // instructions carry it.
 func (b *Builder) AtLine(line int) { b.line = int32(line) }
 
-// CurLine returns the current synthetic source line.
-func (b *Builder) CurLine() int { return int(b.line) }
-
 // R allocates a fresh scratch register in the current function.
 func (b *Builder) R() isa.Reg {
 	if n := len(b.free); n > 0 {

@@ -87,9 +87,6 @@ func TestAllEmitters(t *testing.T) {
 	if p.FuncByName("nope") != nil {
 		t.Error("FuncByName ghost")
 	}
-	if b.CurLine() != 0 {
-		t.Errorf("CurLine = %d", b.CurLine())
-	}
 }
 
 func TestForRangeRejectsBadStep(t *testing.T) {

@@ -114,14 +114,24 @@ type StructType struct {
 	Align  int
 }
 
-// FieldAt returns the field covering the byte at the given offset, or nil
-// if the offset falls into padding or out of range.
-func (st *StructType) FieldAt(offset int) *PhysField {
+// FieldIndexAt returns the index in Fields of the field covering the
+// byte at the given offset, or -1 if the offset falls into padding or out
+// of range.
+func (st *StructType) FieldIndexAt(offset int) int {
 	for i := range st.Fields {
 		f := &st.Fields[i]
 		if offset >= f.Offset && offset < f.Offset+f.Size {
-			return f
+			return i
 		}
+	}
+	return -1
+}
+
+// FieldAt returns the field covering the byte at the given offset, or nil
+// if the offset falls into padding or out of range.
+func (st *StructType) FieldAt(offset int) *PhysField {
+	if i := st.FieldIndexAt(offset); i >= 0 {
+		return &st.Fields[i]
 	}
 	return nil
 }

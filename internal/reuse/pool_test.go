@@ -96,35 +96,6 @@ func TestResetReusesState(t *testing.T) {
 	}
 }
 
-// TestMergeHistograms: pooled per-phase analyzers fold into one total.
-func TestMergeHistograms(t *testing.T) {
-	a, b := NewAnalyzer(16), NewAnalyzer(16)
-	for i := 0; i < 30; i++ {
-		a.Observe(uint64(i % 5))
-		b.Observe(uint64(i % 3))
-	}
-	var total Analyzer
-	total.Merge(a)
-	total.Merge(b)
-	total.Merge(nil) // no-op
-	if total.N != a.N+b.N || total.Cold != a.Cold+b.Cold {
-		t.Fatalf("merged N=%d Cold=%d", total.N, total.Cold)
-	}
-	for i := range total.Hist {
-		if total.Hist[i] != a.Hist[i]+b.Hist[i] {
-			t.Fatalf("merged Hist[%d] = %d, want %d", i, total.Hist[i], a.Hist[i]+b.Hist[i])
-		}
-	}
-	// Mass conservation holds on the merge.
-	var mass uint64
-	for _, h := range total.Hist {
-		mass += h
-	}
-	if mass+total.Cold != total.N {
-		t.Fatalf("merge broke mass conservation: %d + %d != %d", mass, total.Cold, total.N)
-	}
-}
-
 // TestFromTraceMatchesIncremental: FromTrace over a recorded trace equals
 // observing the same trace incrementally.
 func TestFromTraceMatchesIncremental(t *testing.T) {

@@ -88,21 +88,6 @@ func (a *Analyzer) Reset() {
 	a.N = 0
 }
 
-// Merge folds another analyzer's recorded histogram (Hist, Cold, N) into
-// this one. Only the distance accounting merges: the two analyzers'
-// traces must have been observed independently (e.g. one phase each);
-// merging does not splice their timestamp state.
-func (a *Analyzer) Merge(o *Analyzer) {
-	if o == nil {
-		return
-	}
-	for i := range a.Hist {
-		a.Hist[i] += o.Hist[i]
-	}
-	a.Cold += o.Cold
-	a.N += o.N
-}
-
 // FromTrace runs the exact analyzer over a complete line-address trace
 // and returns it with the full histogram populated — the differential
 // baseline for static reuse predictions.
@@ -152,9 +137,6 @@ func log2Bucket(d uint64) int {
 	}
 	return b
 }
-
-// DistinctLines returns how many distinct lines have been observed.
-func (a *Analyzer) DistinctLines() int { return len(a.lastTime) }
 
 // MissRatioAtCapacity estimates the miss ratio of a fully-associative
 // LRU cache holding `lines` lines, from the recorded histogram: accesses

@@ -45,8 +45,8 @@ func TestRepeatedScan(t *testing.T) {
 			t.Fatalf("second-pass distance of line %d = %d, want %d", i, d, k-1)
 		}
 	}
-	if a.DistinctLines() != k {
-		t.Errorf("distinct = %d", a.DistinctLines())
+	if len(a.lastTime) != k {
+		t.Errorf("distinct = %d", len(a.lastTime))
 	}
 }
 

@@ -5,7 +5,7 @@
 // state, full reports, or a snapshot of every session's retained samples
 // as binary frames at any time.
 // Prometheus-text metrics report ingest throughput, queue depths,
-// per-session lag, and eviction counts.
+// per-session lag, and the accumulation cells each session holds.
 package server
 
 import (
@@ -406,14 +406,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	b.WriteString("# HELP structslim_queue_depth Batches waiting in a session's queue.\n# TYPE structslim_queue_depth gauge\n")
 	b.WriteString("# HELP structslim_session_lag_cycles Simulated-cycle lag behind the most recent session.\n# TYPE structslim_session_lag_cycles gauge\n")
 	b.WriteString("# HELP structslim_session_cells Accumulation cells a session holds, one per distinct (identity, loop, IP, raw offset).\n# TYPE structslim_session_cells gauge\n")
-	b.WriteString("# HELP structslim_evicted_streams_total Stream-state LRU evictions.\n# TYPE structslim_evicted_streams_total counter\n")
-	b.WriteString("# HELP structslim_evicted_identities_total Identity-accumulator LRU evictions.\n# TYPE structslim_evicted_identities_total counter\n")
 	for _, si := range infos {
 		fmt.Fprintf(&b, "structslim_queue_depth{session=%q} %d\n", si.ID, depths[si.ID])
 		fmt.Fprintf(&b, "structslim_session_lag_cycles{session=%q} %d\n", si.ID, maxCycle-si.LastCycle)
 		fmt.Fprintf(&b, "structslim_session_cells{session=%q} %d\n", si.ID, si.Cells)
-		fmt.Fprintf(&b, "structslim_evicted_streams_total{session=%q} %d\n", si.ID, si.EvictedStreams)
-		fmt.Fprintf(&b, "structslim_evicted_identities_total{session=%q} %d\n", si.ID, si.EvictedIdentities)
 	}
 	fmt.Fprint(w, b.String())
 }

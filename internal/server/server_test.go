@@ -207,16 +207,35 @@ func TestEndToEnd(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("GET /metrics: %d", code)
 		}
-		for _, metric := range []string{
-			"structslim_samples_total",
-			"structslim_batches_total",
-			"structslim_queue_depth{session=\"push-t000\"}",
-			"structslim_session_lag_cycles",
-			"structslim_samples_per_second",
-		} {
-			if !bytes.Contains(body, []byte(metric)) {
-				t.Errorf("metrics missing %s", metric)
+		// The # TYPE lines name exactly these families; structbench's
+		// ingest-report reads the two rejection counters.
+		wantTypes := map[string]string{
+			"structslim_samples_total":          "counter",
+			"structslim_batches_total":          "counter",
+			"structslim_rejected_batches_total": "counter",
+			"structslim_ingest_errors_total":    "counter",
+			"structslim_report_builds_total":    "counter",
+			"structslim_sessions":               "gauge",
+			"structslim_uptime_seconds":         "gauge",
+			"structslim_samples_per_second":     "gauge",
+			"structslim_queue_depth":            "gauge",
+			"structslim_session_lag_cycles":     "gauge",
+			"structslim_session_cells":          "gauge",
+		}
+		gotTypes := make(map[string]string)
+		for _, line := range strings.Split(string(body), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+				if _, dup := gotTypes[f[2]]; dup {
+					t.Errorf("metrics declare %s twice", f[2])
+				}
+				gotTypes[f[2]] = f[3]
 			}
+		}
+		if !reflect.DeepEqual(gotTypes, wantTypes) {
+			t.Errorf("metric families = %v, want %v", gotTypes, wantTypes)
+		}
+		if !bytes.Contains(body, []byte("structslim_queue_depth{session=\"push-t000\"}")) {
+			t.Error("metrics missing the queue depth of session push-t000")
 		}
 	})
 }

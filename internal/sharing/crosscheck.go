@@ -2,6 +2,7 @@ package sharing
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -161,7 +162,7 @@ func CrossCheck(a *Analysis, obs *RunObs) *Report {
 		}
 		if pc.Confirmed {
 			pc.Status = CheckOK
-			pc.Detail = fmt.Sprintf("line %#x written by %d cores and write-invalidated", pc.Line, popcount(pc.Cores))
+			pc.Detail = fmt.Sprintf("line %#x written by %d cores and write-invalidated", pc.Line, bits.OnesCount64(pc.Cores))
 		} else {
 			pc.Status = CheckWarning
 			pc.Detail = "no contended line observed (writers may have serialized)"
@@ -176,7 +177,7 @@ func CrossCheck(a *Analysis, obs *RunObs) *Report {
 	for _, po := range obs.Phases {
 		var keys []lineKey
 		for lk, mask := range po.LineCauses {
-			if popcount(mask) >= 2 && !predicted[lk.global][lk.field] && !predicted[lk.global][-1] {
+			if bits.OnesCount64(mask) >= 2 && !predicted[lk.global][lk.field] && !predicted[lk.global][-1] {
 				keys = append(keys, lk)
 			}
 		}
@@ -198,7 +199,7 @@ func CrossCheck(a *Analysis, obs *RunObs) *Report {
 			rep.Extra = append(rep.Extra, fmt.Sprintf(
 				"phase %d: %s %s line %#x write-invalidated by %d cores, not predicted",
 				po.Phase, a.Program.Globals[lk.global].Name,
-				fieldNameOf(a.Program, lk.global, lk.field), lk.tag, popcount(po.LineCauses[lk])))
+				fieldNameOf(a.Program, lk.global, lk.field), lk.tag, bits.OnesCount64(po.LineCauses[lk])))
 		}
 	}
 

@@ -1,6 +1,9 @@
 package sharing
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/prog"
@@ -103,7 +106,7 @@ func (po *PhaseObs) MultiWriterAddrs(global, field int) []uint64 {
 			addrs = append(addrs, addr)
 		}
 	}
-	sortU64(addrs)
+	slices.Sort(addrs)
 	return addrs
 }
 
@@ -128,7 +131,7 @@ func (po *PhaseObs) ContendedLine(global, field int) (tag uint64, mask uint64, o
 	for t := range po.fieldLines[gfKey{global, field}] {
 		k := glKey{global, t}
 		m := po.lineWriters[k]
-		if popcount(m) < 2 || po.lineInv[k] == 0 {
+		if bits.OnesCount64(m) < 2 || po.lineInv[k] == 0 {
 			continue
 		}
 		if !ok || t < tag {
@@ -266,20 +269,11 @@ func (v *Verifier) attr(addr uint64) (global, field int, ok bool) {
 	if o == nil || o.GlobalIx < 0 {
 		return 0, 0, false
 	}
-	global, field = o.GlobalIx, -1
-	st := v.p.TypeOfGlobal(global)
+	st := v.p.TypeOfGlobal(o.GlobalIx)
 	if st == nil || st.Size <= 0 {
-		return global, field, true
+		return o.GlobalIx, -1, true
 	}
-	off := int((addr - o.Base) % uint64(st.Size))
-	for fi := range st.Fields {
-		pf := &st.Fields[fi]
-		if off >= pf.Offset && off < pf.Offset+pf.Size {
-			field = fi
-			break
-		}
-	}
-	return global, field, true
+	return o.GlobalIx, st.FieldIndexAt(int((addr - o.Base) % uint64(st.Size))), true
 }
 
 // VerifyRun executes the phase list on a fresh machine with the verifier
@@ -301,20 +295,4 @@ func VerifyRun(p *prog.Program, phases [][]vm.ThreadSpec, cacheCfg cache.Config)
 		}
 	}
 	return &RunObs{Phases: v.phases}, nil
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
-func sortU64(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -36,11 +36,20 @@ func Key(l *prog.PhysLayout) string {
 }
 
 // LayoutFromGroups builds the split layout for a record from field-name
-// groups. Fields of the record not mentioned in any group are appended as
-// singleton groups (cold fields the profiler never sampled still need a
-// home — the paper gives ART's untouched field R its own struct). Unknown
-// field names are rejected.
-func LayoutFromGroups(rec *prog.RecordSpec, groups [][]string) (*prog.PhysLayout, error) {
+// groups, gated on a transform-legality verdict. A frozen structure is
+// refused outright; keep-together constraints merge the proposed groups
+// that would separate constrained fields (union-find over the pair
+// graph), so the layout that comes back is the closest legal
+// approximation of the advice. A nil summary means no legality analysis
+// ran and takes the groups as they are. Fields of the record not
+// mentioned in any group are appended as singleton groups (cold fields
+// the profiler never sampled still need a home — the paper gives ART's
+// untouched field R its own struct). Unknown field names are rejected.
+func LayoutFromGroups(rec *prog.RecordSpec, groups [][]string, lg *core.LegalitySummary) (*prog.PhysLayout, error) {
+	groups, err := applyLegality(rec, groups, lg)
+	if err != nil {
+		return nil, err
+	}
 	covered := make(map[string]bool)
 	var cleaned [][]string
 	for _, g := range groups {
@@ -68,10 +77,11 @@ func LayoutFromGroups(rec *prog.RecordSpec, groups [][]string) (*prog.PhysLayout
 }
 
 // LayoutFromAdvice builds the split layout directly from an analyzer
-// report's advice. Positional field names ("+24") mean the analyzer
-// lacked debug info for some offsets; those cannot be mapped onto the
-// record and are rejected.
-func LayoutFromAdvice(rec *prog.RecordSpec, adv *core.SplitAdvice) (*prog.PhysLayout, error) {
+// report's advice, gated on a legality verdict as LayoutFromGroups is
+// (nil: no legality pass). Positional field names ("+24") mean the
+// analyzer lacked debug info for some offsets; those cannot be mapped
+// onto the record and are rejected.
+func LayoutFromAdvice(rec *prog.RecordSpec, adv *core.SplitAdvice, lg *core.LegalitySummary) (*prog.PhysLayout, error) {
 	if adv == nil {
 		return nil, fmt.Errorf("no advice for %s", rec.Name)
 	}
@@ -82,37 +92,7 @@ func LayoutFromAdvice(rec *prog.RecordSpec, adv *core.SplitAdvice) (*prog.PhysLa
 			}
 		}
 	}
-	return LayoutFromGroups(rec, adv.FieldGroups())
-}
-
-// LayoutFromGroupsChecked is LayoutFromGroups gated on a transform-
-// legality verdict. A frozen structure is refused outright; keep-together
-// constraints merge the proposed groups that would separate constrained
-// fields (union-find over the pair graph), so the layout that comes back
-// is the closest legal approximation of the advice. A nil summary means
-// no legality analysis ran and behaves exactly like LayoutFromGroups.
-func LayoutFromGroupsChecked(rec *prog.RecordSpec, groups [][]string, lg *core.LegalitySummary) (*prog.PhysLayout, error) {
-	merged, err := applyLegality(rec, groups, lg)
-	if err != nil {
-		return nil, err
-	}
-	return LayoutFromGroups(rec, merged)
-}
-
-// LayoutFromAdviceChecked is LayoutFromAdvice gated on a legality
-// verdict; see LayoutFromGroupsChecked.
-func LayoutFromAdviceChecked(rec *prog.RecordSpec, adv *core.SplitAdvice, lg *core.LegalitySummary) (*prog.PhysLayout, error) {
-	if adv == nil {
-		return nil, fmt.Errorf("no advice for %s", rec.Name)
-	}
-	for _, g := range adv.Groups {
-		for _, name := range g {
-			if len(name) > 0 && name[0] == '+' {
-				return nil, fmt.Errorf("advice for %s contains unresolved offset %s", rec.Name, name)
-			}
-		}
-	}
-	return LayoutFromGroupsChecked(rec, adv.FieldGroups(), lg)
+	return LayoutFromGroups(rec, adv.FieldGroups(), lg)
 }
 
 // applyLegality rewrites the proposed groups under the verdict's

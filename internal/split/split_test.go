@@ -19,7 +19,7 @@ func rec(t *testing.T) *prog.RecordSpec {
 }
 
 func TestLayoutFromGroupsCompletesColdFields(t *testing.T) {
-	l, err := LayoutFromGroups(rec(t), [][]string{{"a", "c"}})
+	l, err := LayoutFromGroups(rec(t), [][]string{{"a", "c"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestLayoutFromGroupsCompletesColdFields(t *testing.T) {
 }
 
 func TestLayoutFromGroupsValidation(t *testing.T) {
-	if _, err := LayoutFromGroups(rec(t), [][]string{{"a", "zz"}}); err == nil {
+	if _, err := LayoutFromGroups(rec(t), [][]string{{"a", "zz"}}, nil); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := LayoutFromGroups(rec(t), [][]string{{"a"}, {"a", "b"}}); err == nil {
+	if _, err := LayoutFromGroups(rec(t), [][]string{{"a"}, {"a", "b"}}, nil); err == nil {
 		t.Error("duplicate field accepted")
 	}
 	// Empty groups are dropped silently.
-	l, err := LayoutFromGroups(rec(t), [][]string{{}, {"a", "b", "c", "d"}})
+	l, err := LayoutFromGroups(rec(t), [][]string{{}, {"a", "b", "c", "d"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLayoutFromAdvice(t *testing.T) {
 		StructName: "r",
 		Groups:     [][]string{{"a", "c"}, {"b"}},
 	}
-	l, err := LayoutFromAdvice(rec(t), adv)
+	l, err := LayoutFromAdvice(rec(t), adv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,29 +67,37 @@ func TestLayoutFromAdvice(t *testing.T) {
 }
 
 func TestLayoutFromGroupsCheckedNilSummary(t *testing.T) {
-	// No legality analysis → identical to the unchecked path.
-	l, err := LayoutFromGroupsChecked(rec(t), [][]string{{"a", "c"}}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// No legality analysis lays out the groups as a split-safe verdict
+	// does: neither merges nor refuses anything.
+	safe := &core.LegalitySummary{Verdict: "split-safe"}
+	for _, groups := range [][][]string{{{"a", "c"}}, {{"a"}, {"b"}, {"c"}, {"d"}}, {{"d", "a"}, {"b"}}} {
+		l, err := LayoutFromGroups(rec(t), groups, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := LayoutFromGroups(rec(t), groups, safe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Key(l) != Key(ls) {
+			t.Errorf("groups %v: nil summary gives %s, split-safe gives %s", groups, Key(l), Key(ls))
+		}
 	}
-	if l.NumArrays() != 3 || l.Place("a").Arr != l.Place("c").Arr {
-		t.Errorf("nil summary changed the layout: %v", l)
-	}
-	if _, err := LayoutFromGroupsChecked(rec(t), [][]string{{"a", "zz"}}, nil); err == nil {
-		t.Error("unknown field accepted")
+	if _, err := LayoutFromGroups(rec(t), [][]string{{"a", "zz"}}, safe); err == nil {
+		t.Error("unknown field accepted under a split-safe verdict")
 	}
 }
 
 func TestLayoutFromGroupsCheckedFrozen(t *testing.T) {
 	lg := &core.LegalitySummary{Verdict: "frozen", Reason: "pointer passes through xor (at x.c:3)"}
-	_, err := LayoutFromGroupsChecked(rec(t), [][]string{{"a", "c"}}, lg)
+	_, err := LayoutFromGroups(rec(t), [][]string{{"a", "c"}}, lg)
 	if err == nil || !strings.Contains(err.Error(), "frozen") {
 		t.Fatalf("frozen structure split anyway: %v", err)
 	}
 	if !strings.Contains(err.Error(), "xor") {
 		t.Errorf("error does not carry the reason: %v", err)
 	}
-	if _, err := LayoutFromAdviceChecked(rec(t),
+	if _, err := LayoutFromAdvice(rec(t),
 		&core.SplitAdvice{StructName: "r", Groups: [][]string{{"a"}, {"b"}}}, lg); err == nil {
 		t.Error("frozen structure split via advice path")
 	}
@@ -103,7 +111,7 @@ func TestLayoutFromGroupsCheckedMergesPairs(t *testing.T) {
 		Verdict: "keep-together",
 		Pairs:   [][2]string{{"a", "b"}, {"c", "d"}},
 	}
-	l, err := LayoutFromGroupsChecked(rec(t), [][]string{{"a", "c"}, {"b"}}, lg)
+	l, err := LayoutFromGroups(rec(t), [][]string{{"a", "c"}, {"b"}}, lg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +127,7 @@ func TestLayoutFromGroupsCheckedMergesPairs(t *testing.T) {
 
 	// A pair between two otherwise-independent groups merges just those.
 	lg = &core.LegalitySummary{Verdict: "keep-together", Pairs: [][2]string{{"b", "d"}}}
-	l, err = LayoutFromGroupsChecked(rec(t), [][]string{{"a"}, {"b"}, {"c"}}, lg)
+	l, err = LayoutFromGroups(rec(t), [][]string{{"a"}, {"b"}, {"c"}}, lg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +137,7 @@ func TestLayoutFromGroupsCheckedMergesPairs(t *testing.T) {
 	if l.Place("a").Arr == l.Place("b").Arr || l.Place("a").Arr == l.Place("c").Arr {
 		t.Errorf("unconstrained groups merged needlessly: %v", l)
 	}
-	if _, err := LayoutFromGroupsChecked(rec(t), [][]string{{"a"}},
+	if _, err := LayoutFromGroups(rec(t), [][]string{{"a"}},
 		&core.LegalitySummary{Verdict: "keep-together", Pairs: [][2]string{{"a", "zz"}}}); err == nil {
 		t.Error("pair naming an unknown field accepted")
 	}
@@ -137,7 +145,7 @@ func TestLayoutFromGroupsCheckedMergesPairs(t *testing.T) {
 
 func TestLayoutFromGroupsCheckedAllFields(t *testing.T) {
 	lg := &core.LegalitySummary{Verdict: "keep-together", AllFields: true}
-	l, err := LayoutFromGroupsChecked(rec(t), [][]string{{"a"}, {"b"}, {"c"}, {"d"}}, lg)
+	l, err := LayoutFromGroups(rec(t), [][]string{{"a"}, {"b"}, {"c"}, {"d"}}, lg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +159,10 @@ func TestLayoutFromAdviceRejectsUnresolvedOffsets(t *testing.T) {
 		StructName: "r",
 		Groups:     [][]string{{"a", "+24"}},
 	}
-	if _, err := LayoutFromAdvice(rec(t), adv); err == nil || !strings.Contains(err.Error(), "unresolved") {
+	if _, err := LayoutFromAdvice(rec(t), adv, nil); err == nil || !strings.Contains(err.Error(), "unresolved") {
 		t.Errorf("positional advice accepted: %v", err)
 	}
-	if _, err := LayoutFromAdvice(rec(t), nil); err == nil {
+	if _, err := LayoutFromAdvice(rec(t), nil, nil); err == nil {
 		t.Error("nil advice accepted")
 	}
 }

@@ -140,7 +140,7 @@ func fieldAccessSets(a *Analysis, ti int) map[int]map[uint64]bool {
 				continue
 			}
 			off := int(umod(sp.Disp, uint64(st.Size)))
-			fi := fieldIndexAt(st, off)
+			fi := st.FieldIndexAt(off)
 			if fi < 0 {
 				continue
 			}
@@ -155,16 +155,6 @@ func fieldAccessSets(a *Analysis, ti int) map[int]map[uint64]bool {
 		}
 	}
 	return sets
-}
-
-func fieldIndexAt(st *prog.StructType, off int) int {
-	for i := range st.Fields {
-		f := &st.Fields[i]
-		if off >= f.Offset && off < f.Offset+f.Size {
-			return i
-		}
-	}
-	return -1
 }
 
 // lintCoAccess partitions the accessed fields into connected components
@@ -287,7 +277,7 @@ func lintHotColdDynamic(st *prog.StructType, sr *core.StructReport) []Finding {
 		if fr.Offset == core.UnknownOffset {
 			continue
 		}
-		if fi := fieldIndexAt(st, int(fr.Offset)); fi >= 0 {
+		if fi := st.FieldIndexAt(int(fr.Offset)); fi >= 0 {
 			sampled[fi] += fr.Share
 		}
 	}

@@ -40,11 +40,10 @@
 // (region, field offset), a cell of the same kind of table, before it
 // builds its tables. Retained samples, unless DropSamples is set, are
 // copied a batch at a time into blocks that never move either.
-// LRU eviction bounds the streams (MaxStreams) and the identities
-// (MaxIdentities; an evicted identity's cells go with it), but nothing
-// bounds the cells of an identity that stays tracked; SessionInfo.Cells
-// counts them. Eviction makes the analysis approximate (evicted state
-// starts over empty if its key recurs) and is reported via counters.
+// A session keeps every stream and identity it sees, so its state is
+// exact: a recurring key continues its stream at the sample count k it
+// reached, never from zero. Nothing bounds that state; SessionInfo
+// counts a session's streams, identities and cells.
 package stream
 
 import (
@@ -64,16 +63,8 @@ import (
 // (structbench) uses.
 type Batch = profile.Batch
 
-// Config tunes the analyzer. The zero value retains samples and never
-// evicts.
+// Config tunes the analyzer. The zero value retains samples.
 type Config struct {
-	// MaxStreams bounds the live streams per session; 0 = unbounded.
-	// Beyond the bound the least-recently-updated stream is evicted.
-	MaxStreams int
-	// MaxIdentities bounds the tracked identities per session; 0 =
-	// unbounded. Beyond the bound the least-recently-touched identity's
-	// accumulator is evicted.
-	MaxIdentities int
 	// DropSamples disables raw-sample retention. Report and Live keep
 	// working (they need only the online state); Snapshot becomes
 	// unavailable. The online state still grows with the distinct cell
@@ -162,12 +153,11 @@ func (a *Analyzer) shardFor(session string) *shard {
 	return a.shards[h%uint64(len(a.shards))]
 }
 
-// streamEntry is one live stream with its key's hash and its LRU links.
+// streamEntry is one live stream with its key's hash.
 type streamEntry struct {
-	key        profile.StreamKey
-	hash       uint64
-	stat       profile.StreamStat
-	prev, next *streamEntry
+	key  profile.StreamKey
+	hash uint64
+	stat profile.StreamStat
 }
 
 type session struct {
@@ -187,15 +177,9 @@ type session struct {
 	sampleBlocks [][]profile.Sample
 
 	streams streamTable
-	lruHead *streamEntry // most recently updated
-	lruTail *streamEntry // eviction candidate
 	lastKey profile.StreamKey
 	lastEnt *streamEntry
 	accums  map[uint64]*core.IdentityAccum
-	// identTouch and clock rank identities for evictColdestIdentity; they
-	// are kept only when Config.MaxIdentities bounds the identities.
-	identTouch map[uint64]uint64
-	clock      uint64
 
 	objects []profile.ObjInfo
 	objByID map[int32]*profile.ObjInfo
@@ -206,9 +190,6 @@ type session struct {
 	overheadCycles uint64
 	memOps         uint64
 	lastCycle      uint64
-
-	evictedStreams    uint64
-	evictedIdentities uint64
 }
 
 // Ingest folds one batch into the analyzer. Batches of one session must
@@ -279,14 +260,13 @@ func (a *Analyzer) getSession(b *profile.Batch) (*session, error) {
 		return s, nil
 	}
 	s = &session{
-		id:         b.Session,
-		process:    b.Process,
-		tid:        b.TID,
-		period:     b.Period,
-		streams:    newStreamTable(),
-		accums:     make(map[uint64]*core.IdentityAccum),
-		identTouch: make(map[uint64]uint64),
-		objByID:    make(map[int32]*profile.ObjInfo),
+		id:      b.Session,
+		process: b.Process,
+		tid:     b.TID,
+		period:  b.Period,
+		streams: newStreamTable(),
+		accums:  make(map[uint64]*core.IdentityAccum),
+		objByID: make(map[int32]*profile.ObjInfo),
 	}
 	sh.sessions[b.Session] = s
 	a.gen.Add(1)
@@ -321,13 +301,9 @@ func (a *Analyzer) addSample(s *session, sm *profile.Sample) {
 		if ent, slot = s.streams.find(&key, h); ent == nil {
 			ent = &streamEntry{key: key, hash: h, stat: profile.StreamStat{IP: sm.IP, Identity: identity}}
 			s.streams.put(ent, slot)
-			if a.conf.MaxStreams > 0 && s.streams.len() > a.conf.MaxStreams {
-				s.evictColdestStream(ent)
-			}
 		}
 		s.lastKey, s.lastEnt = key, ent
 	}
-	s.lruTouch(ent)
 	ent.stat.Observe(sm.EA, sm.Latency, sm.Write, sm.ObjID)
 
 	if obj != nil {
@@ -335,13 +311,6 @@ func (a *Analyzer) addSample(s *session, sm *profile.Sample) {
 		if acc == nil {
 			acc = core.NewIdentityAccum(identity)
 			s.accums[identity] = acc
-			if a.conf.MaxIdentities > 0 && len(s.accums) > a.conf.MaxIdentities {
-				s.evictColdestIdentity(identity)
-			}
-		}
-		if a.conf.MaxIdentities > 0 {
-			s.clock++
-			s.identTouch[identity] = s.clock
 		}
 		acc.AddSample(sm, obj, a.loops)
 	}
@@ -371,76 +340,6 @@ func (s *session) retain(samples []profile.Sample) {
 		*blk = append(*blk, samples[:k]...)
 		samples = samples[k:]
 	}
-}
-
-// lruTouch moves ent to the head of the session's LRU list.
-func (s *session) lruTouch(ent *streamEntry) {
-	if s.lruHead == ent {
-		return
-	}
-	// Unlink.
-	if ent.prev != nil {
-		ent.prev.next = ent.next
-	}
-	if ent.next != nil {
-		ent.next.prev = ent.prev
-	}
-	if s.lruTail == ent {
-		s.lruTail = ent.prev
-	}
-	// Push front.
-	ent.prev = nil
-	ent.next = s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.prev = ent
-	}
-	s.lruHead = ent
-	if s.lruTail == nil {
-		s.lruTail = ent
-	}
-}
-
-// evictColdestStream drops the least-recently-updated stream (never the
-// one just created).
-func (s *session) evictColdestStream(keep *streamEntry) {
-	victim := s.lruTail
-	if victim == nil || victim == keep {
-		return
-	}
-	if victim.prev != nil {
-		victim.prev.next = nil
-	}
-	s.lruTail = victim.prev
-	if s.lruHead == victim {
-		s.lruHead = nil
-	}
-	s.streams.remove(victim)
-	if s.lastEnt == victim {
-		s.lastEnt = nil
-	}
-	s.evictedStreams++
-}
-
-// evictColdestIdentity drops the least-recently-touched identity
-// accumulator (never the one just created).
-func (s *session) evictColdestIdentity(keep uint64) {
-	var victim uint64
-	var minTouch uint64
-	found := false
-	for id, touch := range s.identTouch {
-		if id == keep {
-			continue
-		}
-		if !found || touch < minTouch {
-			victim, minTouch, found = id, touch, true
-		}
-	}
-	if !found {
-		return
-	}
-	delete(s.accums, victim)
-	delete(s.identTouch, victim)
-	s.evictedIdentities++
 }
 
 // sortedSessions returns the sessions of every shard ordered by
@@ -707,9 +606,7 @@ type SessionInfo struct {
 	// Cells counts the session's accumulation cells, one per distinct
 	// (identity, loop, IP, raw element offset) it has seen: the online
 	// state that grows with the profile.
-	Cells             int
-	EvictedStreams    uint64
-	EvictedIdentities uint64
+	Cells int
 }
 
 // Sessions reports per-session bookkeeping, sorted in canonical order.
@@ -723,16 +620,14 @@ func (a *Analyzer) Sessions() []SessionInfo {
 			cells += acc.NumCells()
 		}
 		out = append(out, SessionInfo{
-			ID:                s.id,
-			Process:           s.process,
-			TID:               s.tid,
-			NumSamples:        s.numSamples,
-			LastCycle:         s.lastCycle,
-			Streams:           s.streams.len(),
-			Identities:        len(s.accums),
-			Cells:             cells,
-			EvictedStreams:    s.evictedStreams,
-			EvictedIdentities: s.evictedIdentities,
+			ID:         s.id,
+			Process:    s.process,
+			TID:        s.tid,
+			NumSamples: s.numSamples,
+			LastCycle:  s.lastCycle,
+			Streams:    s.streams.len(),
+			Identities: len(s.accums),
+			Cells:      cells,
 		})
 		s.mu.Unlock()
 	}

@@ -67,75 +67,6 @@ func synthBatch(session string, nStreams, nObjs, samplesPerStream int) stream.Ba
 	return b
 }
 
-func TestStreamEviction(t *testing.T) {
-	a, err := stream.New(nil, stream.Config{MaxStreams: 4, MaxIdentities: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Ingest(synthBatch("s", 16, 8, 6)); err != nil {
-		t.Fatal(err)
-	}
-	infos := a.Sessions()
-	if len(infos) != 1 {
-		t.Fatalf("got %d sessions", len(infos))
-	}
-	si := infos[0]
-	if si.Streams > 4 {
-		t.Errorf("streams = %d, want <= 4", si.Streams)
-	}
-	if si.Identities > 2 {
-		t.Errorf("identities = %d, want <= 2", si.Identities)
-	}
-	if si.EvictedStreams == 0 || si.EvictedIdentities == 0 {
-		t.Errorf("expected evictions, got streams=%d identities=%d",
-			si.EvictedStreams, si.EvictedIdentities)
-	}
-	// The analyzer stays usable after eviction (approximate mode).
-	if lv := a.Live(0); len(lv.Structures) == 0 {
-		t.Error("live view empty after eviction")
-	}
-}
-
-func TestEvictionRecurringStreamSurvives(t *testing.T) {
-	// A hot stream interleaved with many cold ones must keep accumulating
-	// (LRU keeps recently-updated streams).
-	a, err := stream.New(nil, stream.Config{MaxStreams: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := stream.Batch{Session: "s", Period: 1000}
-	b.Objects = []profile.ObjInfo{{ID: 0, Name: "hot", Base: 0x10000, Size: 1 << 16, Identity: 1, TypeID: -1}}
-	for i := 0; i < 50; i++ {
-		// Hot stream sample, then a one-shot cold stream.
-		b.Samples = append(b.Samples,
-			profile.Sample{IP: 0x400, EA: 0x10000 + uint64(i)*16, Latency: 10, Cycle: uint64(2 * i), ObjID: 0},
-			profile.Sample{IP: uint64(0x800 + i*4), EA: 0x10000 + uint64(i), Latency: 10, Cycle: uint64(2*i + 1), ObjID: 0},
-		)
-	}
-	if err := a.Ingest(b); err != nil {
-		t.Fatal(err)
-	}
-	lv := a.Live(1)
-	if len(lv.Structures) != 1 {
-		t.Fatalf("got %d structures", len(lv.Structures))
-	}
-	var hot *stream.LiveStream
-	for i := range lv.Structures[0].Streams {
-		if lv.Structures[0].Streams[i].IP == 0x400 {
-			hot = &lv.Structures[0].Streams[i]
-		}
-	}
-	if hot == nil {
-		t.Fatal("hot stream evicted")
-	}
-	if hot.Samples != 50 {
-		t.Errorf("hot stream samples = %d, want 50 (was evicted mid-run?)", hot.Samples)
-	}
-	if hot.Stride != 16 {
-		t.Errorf("hot stride = %d, want 16", hot.Stride)
-	}
-}
-
 func TestLiveView(t *testing.T) {
 	a, err := stream.New(nil, stream.Config{})
 	if err != nil {

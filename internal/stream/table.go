@@ -10,8 +10,8 @@ import (
 // streamTable holds a session's live streams: an open-addressed,
 // linearly probed table of entry pointers. Each entry carries its key's
 // hash, so a probe skips entries by one word before it compares a key,
-// and growth and deletion never rehash. Deletion shifts the rest of the
-// probe run back, so no tombstones build up under MaxStreams eviction.
+// and growth never rehashes. A stream, once in, stays for the session's
+// life, so the table has no deletion.
 type streamTable struct {
 	slots []*streamEntry
 	n     int
@@ -80,29 +80,6 @@ func (t *streamTable) emptySlot(h uint64) uint64 {
 		i = (i + 1) & mask
 	}
 	return i
-}
-
-// remove deletes e, which must be in the table, by backward shift: each
-// later entry of the probe run whose home slot does not lie between the
-// hole and itself moves back into the hole, so every remaining entry
-// stays reachable from its home without a tombstone.
-func (t *streamTable) remove(e *streamEntry) {
-	mask := uint64(len(t.slots) - 1)
-	hole := e.hash & mask
-	for t.slots[hole] != e {
-		hole = (hole + 1) & mask
-	}
-	for j := (hole + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
-		// The entry at j may fill the hole when the hole is nearer its
-		// home than j is, counting forward around the wrap.
-		home := t.slots[j].hash & mask
-		if (hole-home)&mask < (j-home)&mask {
-			t.slots[hole] = t.slots[j]
-			hole = j
-		}
-	}
-	t.slots[hole] = nil
-	t.n--
 }
 
 // each calls fn once on every entry, in slot order.

@@ -165,7 +165,7 @@ func initChain(b *prog.Builder, base isa.Reg, n, nodeSize int64, line int) {
 	b.MovI(nReg, n)
 	b.MovI(cur, 0)
 	b.ForRange(i, 0, n-1, 1, func() {
-		b.AddI(nxt, cur, 40503%max64i(n, 1))
+		b.AddI(nxt, cur, 40503%max(n, 1))
 		b.Rem(nxt, nxt, nReg)
 		b.MulI(addr, nxt, nodeSize)
 		b.Add(addr, addr, base)
@@ -184,11 +184,4 @@ func initChain(b *prog.Builder, base isa.Reg, n, nodeSize int64, line int) {
 	b.Store(isa.RZ, tmp, isa.RZ, 1, 0, 8)
 	b.Release(tmp)
 	b.Release(i, cur, nxt, addr, nReg)
-}
-
-func max64i(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

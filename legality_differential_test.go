@@ -121,10 +121,10 @@ func TestLegalityGateRejectsEscapeFixture(t *testing.T) {
 		t.Fatal("Optimize applied a split the legality pass proved unsafe")
 	}
 
-	// The unchecked path would have happily split it — that asymmetry is
-	// the whole point of the gate.
-	if _, err := split.LayoutFromAdvice(w.Record(), sr.Advice); err != nil {
-		t.Fatalf("unchecked path also fails (%v): the fixture proves nothing", err)
+	// Without the verdict the same advice would have split it — that
+	// asymmetry is the whole point of the gate.
+	if _, err := split.LayoutFromAdvice(w.Record(), sr.Advice, nil); err != nil {
+		t.Fatalf("the advice fails without a verdict too (%v): the fixture proves nothing", err)
 	}
 
 	// chk_pair: keep-together, not frozen — the merge path.
@@ -139,7 +139,7 @@ func TestLegalityGateRejectsEscapeFixture(t *testing.T) {
 		prog.Field{Name: "lo", Size: 4},
 		prog.Field{Name: "hi", Size: 4},
 	)
-	pair, err := split.LayoutFromGroupsChecked(pairRec, [][]string{{"lo"}, {"hi"}}, chk)
+	pair, err := split.LayoutFromGroups(pairRec, [][]string{{"lo"}, {"hi"}}, chk)
 	if err != nil {
 		t.Fatalf("keep-together must merge, not refuse: %v", err)
 	}

@@ -214,7 +214,7 @@ func Optimize(rec *prog.RecordSpec, sr *core.StructReport) (*prog.PhysLayout, er
 	if sr == nil {
 		return nil, fmt.Errorf("nil structure report")
 	}
-	return split.LayoutFromAdviceChecked(rec, sr.Advice, sr.Legality)
+	return split.LayoutFromAdvice(rec, sr.Advice, sr.Legality)
 }
 
 // FindStruct locates the analyzed structure whose debug type or display
